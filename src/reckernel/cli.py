@@ -295,10 +295,16 @@ def cmd_eval(args) -> int:
     ds = read_idx(images, labels)
     if ds.n == 0:
         raise IdxFormatError(f"{images}: evaluation set is empty")
+    n_classes = len(pred.classes)
+    bad = np.nonzero(ds.labels >= n_classes)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise IdxFormatError(
+            f"{labels}: label {int(ds.labels[i])} at row {i} is out of range for "
+            f"a model with {n_classes} classes ({bad.size} offending rows)")
     fds = preprocess(ds, steps)
     guesses = pred.classify_many(fds.X)
     err = float((guesses != fds.labels).mean())
-    n_classes = len(pred.classes)
     confusion = np.zeros((n_classes, n_classes), dtype=int)
     for true, got in zip(fds.labels, guesses):
         confusion[int(true), int(got)] += 1

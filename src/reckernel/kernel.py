@@ -11,6 +11,7 @@ truncated version of that map serves as a correctness oracle for depth 1.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -45,10 +46,18 @@ class KernelStack:
             raise ValueError("depth must be nonnegative")
 
 
+def norm_violation(norm: float) -> str:
+    """Why an l2 norm fails the unit-ball check (NaN or inf fails it too)."""
+    if not math.isfinite(norm):
+        return f"non-finite l2 norm {norm}"
+    return f"l2 norm {norm:.12g} > 1 (tolerance {NORM_TOL:g})"
+
+
 def _check_norm(v: np.ndarray, label: str):
     n = float(np.linalg.norm(v))
-    if n > 1.0 + NORM_TOL:
-        raise NormBoundError(f"{label} has l2 norm {n:.12g} > 1 (tolerance {NORM_TOL:g})")
+    # negated so that a NaN norm fails too
+    if not n <= 1.0 + NORM_TOL:
+        raise NormBoundError(f"{label} has {norm_violation(n)}")
 
 
 def kernel_eval(stack: KernelStack, x, y) -> float:
@@ -92,11 +101,10 @@ def gram(stack: KernelStack, X) -> GramMatrix:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     norms = np.linalg.norm(X, axis=1)
-    bad = np.nonzero(norms > 1.0 + NORM_TOL)[0]
+    bad = np.nonzero(~(norms <= 1.0 + NORM_TOL))[0]
     if bad.size:
         i = int(bad[0])
-        raise NormBoundError(
-            f"row {i} has l2 norm {norms[i]:.12g} > 1 (tolerance {NORM_TOL:g})")
+        raise NormBoundError(f"row {i} has {norm_violation(float(norms[i]))}")
     dots = X @ X.T
     upper = np.triu(dots)
     sym = upper + np.triu(dots, 1).T

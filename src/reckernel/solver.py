@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import GramMatrix, KernelStack, NORM_TOL, gram
+from .kernel import GramMatrix, KernelStack, NORM_TOL, gram, norm_violation
 
 LOSS_KINDS = ("hinge", "logistic", "squared")
 
@@ -130,11 +130,13 @@ def project(alpha: np.ndarray, G, B: float) -> np.ndarray:
 
 def _check_unit_rows(X: np.ndarray):
     norms = np.linalg.norm(X, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > 1e-6)[0]
+    # negated so that NaN norms fail too
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= 1e-6))[0]
     if bad.size:
         i = int(bad[0])
+        kind = "" if math.isfinite(norms[i]) else "non-finite "
         raise ValueError(
-            f"training rows must be unit-norm; row {i} has norm {norms[i]:.9g} "
+            f"training rows must be unit-norm; row {i} has {kind}norm {norms[i]:.9g} "
             f"({bad.size} offending rows)")
 
 
@@ -248,10 +250,10 @@ def _cross_kernel(depth: int, Xe: np.ndarray, Xs: np.ndarray) -> np.ndarray:
             f"dimension mismatch: inputs have {Xe.shape[1]} features, "
             f"support points have {Xs.shape[1]}")
     norms = np.linalg.norm(Xe, axis=1)
-    bad = np.nonzero(norms > 1.0 + NORM_TOL)[0]
+    bad = np.nonzero(~(norms <= 1.0 + NORM_TOL))[0]
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"evaluation row {i} has norm {norms[i]:.9g} > 1")
+        raise ValueError(f"evaluation row {i} has {norm_violation(float(norms[i]))}")
     K = np.clip(Xe @ Xs.T, -1.0, 1.0)
     for _ in range(depth):
         K = 1.0 / (2.0 - K)

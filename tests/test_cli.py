@@ -131,6 +131,25 @@ def test_eval_empty_set_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_eval_out_of_range_label_exits_3(tmp_path, capsys):
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    model = tmp_path / "m.json"
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "1", "--max-iters", "50", "--out-model", str(model)]) == 0
+    ds = read_idx(ip, lp)
+    labels = ds.labels.copy()
+    labels[4] = 12
+    write_idx(ImageDataset(ds.images, labels), tmp_path / "x-i.idx", tmp_path / "x-l.idx")
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--images", str(tmp_path / "x-i.idx"),
+               "--labels", str(tmp_path / "x-l.idx")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "label 12 at row 4" in err and "3 classes" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_3(tmp_path, capsys):
     rc = main(["eval", "--model", str(tmp_path / "nope.json"),
                "--images", "x", "--labels", "y"])

@@ -56,6 +56,15 @@ def test_norm_violation_names_the_vector():
         KernelStack(-1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vector_is_rejected(bad):
+    x = np.array([bad, 0.0])
+    with pytest.raises(NormBoundError, match="x has non-finite l2 norm"):
+        kernel_eval(KernelStack(1), x, E1)
+    with pytest.raises(NormBoundError, match="y has non-finite l2 norm"):
+        kernel_eval(KernelStack(3), E1, x)
+
+
 def test_unit_pair_range():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -122,6 +131,13 @@ def test_gram_propagates_row_index():
     X = np.stack([E1, 2.0 * E2])
     with pytest.raises(NormBoundError, match="row 1"):
         gram(KernelStack(1), X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_rejects_non_finite_row(bad):
+    X = np.stack([E1, np.array([0.0, bad]), E2])
+    with pytest.raises(NormBoundError, match="row 1 has non-finite l2 norm"):
+        gram(KernelStack(2), X)
 
 
 def test_gram_deterministic_across_calls():

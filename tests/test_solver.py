@@ -213,6 +213,32 @@ def test_predict_bounded_by_budget():
         assert abs(predict(p, x)) <= B * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_rejects_non_finite_rows(bad):
+    X = np.eye(3)
+    X[1, 2] = bad
+    with pytest.raises(ValueError, match="row 1 has non-finite norm"):
+        train(X, np.array([1.0, -1.0, 1.0]), TrainConfig(depth=1, budget=1.0))
+    with pytest.raises(ValueError, match="row 1 has non-finite norm"):
+        train_multiclass(X, np.array([0, 1, 2]), TrainConfig(depth=1, budget=1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_rejects_non_finite_rows(bad):
+    rng = np.random.default_rng(9)
+    X = random_unit_rows(rng, 12, 4)
+    p = train_multiclass(X, np.arange(12) % 3, TrainConfig(depth=2, budget=2.0, max_iters=50))
+    Xe = random_unit_rows(rng, 3, 4)
+    Xe[2, 0] = bad
+    with pytest.raises(ValueError, match="evaluation row 2 has non-finite l2 norm"):
+        p.classify_many(Xe)
+    with pytest.raises(ValueError, match="evaluation row 0 has non-finite l2 norm"):
+        p.classify(Xe[2])
+    with pytest.raises(ValueError, match="non-finite"):
+        predict(train(X, np.where(np.arange(12) % 2, 1.0, -1.0),
+                      TrainConfig(depth=1, budget=1.0, max_iters=20)), Xe[2])
+
+
 def test_predict_dimension_mismatch():
     p = KernelPredictor(support=np.eye(3), alpha=np.zeros(3), depth=1,
                         budget=1.0, loss_kind="hinge")
