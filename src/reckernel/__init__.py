@@ -32,6 +32,7 @@ from .network import (  # noqa: F401
 from .solver import (  # noqa: F401
     KernelPredictor,
     OneVsAllPredictor,
+    SolveReport,
     TrainConfig,
     make_loss,
     predict,

@@ -2,8 +2,9 @@
 
 Subcommands: bound, gram, train, eval, variants, hardness-demo, bench, synth.
 Every training or benchmark run writes a JSON manifest capturing the resolved
-configuration, seeds, input fingerprints, and timings; rerunning a command
-with the same flags reproduces its model files byte for byte.
+configuration, seeds, input fingerprints, and timings (``train`` adds how
+each class's solve ended); rerunning a command with the same flags reproduces
+its model files byte for byte.
 
 A config file of ``key = value`` lines (``#`` comments allowed) can preset any
 long option of a subcommand; explicit flags win.  The environment variable
@@ -15,6 +16,7 @@ Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -274,15 +276,21 @@ def cmd_train(args) -> int:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")
     metrics_path = str(args.out_model) + ".metrics.csv"
+    reports = [dataclasses.asdict(r) for r in pred.reports]
     with open(metrics_path, "w") as f:
         f.write("kind,class,iteration,value\n")
-        for c, t, best in history:
+        # the solver reports iteration-major; the file stays class-major
+        for c, t, best in sorted(history):
             f.write(f"objective,{c},{t},{best!r}\n")
+        for c, report in enumerate(reports):
+            for kind, value in report.items():
+                f.write(f"{kind},{c},,{value}\n")
         f.write(f"final_train_error,,,{train_err!r}\n")
     timings = {"load": round(t1 - t0, 3), "train": round(t2 - t1, 3),
                "total": round(time.time() - t0, 3)}
-    _write_manifest(_manifest("train", args, [images, labels], timings),
-                    args.out_model)
+    manifest = _manifest("train", args, [images, labels], timings)
+    manifest["solve"] = [{"class": c, **r} for c, r in enumerate(reports)]
+    _write_manifest(manifest, args.out_model)
     print(f"trained {len(pred.classes)} classes on {len(rows)} points: "
           f"train error {100 * train_err:.2f}%")
     print(f"model: {args.out_model}  metrics: {metrics_path}")

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .activation import Activation, builtin_activation, compute_H
+from .activation import Activation, builtin_activation
 from .kernel import TruncatedFeatureMap
 
 
@@ -426,11 +426,6 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
                         max_hinge_loss=max(0.0, 1.0 - worst),
                         n_inputs=2 ** d,
                         worst_input=worst_x)
-
-
-def quadratic_embedding_bound(L: float) -> float:
-    """Capacity level value the embedding norm must respect."""
-    return compute_H(builtin_activation("quadratic"), L, L).to_float()
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ the subgradient of the empirical risk at f is (1/n) sum_j loss'_j K(x_j, .),
 whose coefficient representation is simply s/n, and projection onto the
 radius-B ball is an exact radial scaling.  Iterates stay feasible throughout
 and the incumbent (best objective seen) is returned.  Multiclass runs
-one-vs-all over a shared Gram matrix.  Training is sequential and
-deterministic for a fixed config; returned predictors are immutable and safe
-to share across threads.
+one-vs-all as one batched solve over a shared Gram matrix; binary is its
+one-class case.  Training is deterministic for a fixed config; returned
+predictors are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -111,6 +111,23 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 
+@dataclass(frozen=True)
+class SolveReport:
+    """How the solve of one class ended.
+
+    ``stop_reason`` is ``window`` (the best objective improved by less than
+    the tolerance over a patience window), ``max_iters``
+    or ``zero_subgradient`` (the incumbent cannot improve).
+    ``constraint_use`` is ``alpha' G alpha / B^2`` of the returned
+    coefficients, 0 at B = 0.
+    """
+
+    iterations: int
+    stop_reason: str
+    best_objective: float
+    constraint_use: float
+
+
 def project(alpha: np.ndarray, G, B: float) -> np.ndarray:
     """Exact projection onto the RKHS ball of radius B.
 
@@ -118,14 +135,22 @@ def project(alpha: np.ndarray, G, B: float) -> np.ndarray:
     quadratic form is the squared RKHS norm of the represented function.
     """
     Gm = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    q = float(alpha @ (Gm @ alpha))
-    if q < -1e-8:
-        raise NumericalError(f"quadratic form came out {q:.3g} < -1e-8; Gram is not PSD")
-    q = max(q, 0.0)
-    if q <= B * B:
-        return alpha
-    return alpha * (B / math.sqrt(q))
+    A = np.array(alpha, dtype=float, ndmin=2)
+    _scale_onto_ball(A, A @ Gm, B)
+    return A.reshape(np.shape(alpha))
+
+
+def _scale_onto_ball(A: np.ndarray, P: np.ndarray, B: float) -> np.ndarray:
+    """Project each row of ``A`` in place, scaling ``P = A @ G`` alike;
+    returns the quadratic forms before scaling."""
+    q = np.einsum("ij,ij->i", A, P)
+    if q.min() < -1e-8:
+        raise NumericalError(f"quadratic form came out {q.min():.3g} < -1e-8; Gram is not PSD")
+    over = q > B * B
+    c = (B / np.sqrt(q[over]))[:, None]
+    A[over] *= c
+    P[over] *= c
+    return q
 
 
 def _check_unit_rows(X: np.ndarray):
@@ -140,55 +165,53 @@ def _check_unit_rows(X: np.ndarray):
             f"({bad.size} offending rows)")
 
 
-def _check_training_inputs(X: np.ndarray, y: np.ndarray):
-    _check_unit_rows(X)
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("binary labels must be +1 or -1")
-
-
-def _minimize_on_gram(G: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-                      loss: Loss,
-                      callback: Optional[Callable[[int, float, float], None]] = None,
-                      ) -> np.ndarray:
-    """Projected subgradient descent; returns the best feasible iterate."""
-    n = y.shape[0]
-    B = cfg.budget
-    alpha = np.zeros(n)
-    if B == 0.0:
-        if callback is not None:
-            callback(0, float(np.mean(loss.value(alpha, y))), float(np.mean(loss.value(alpha, y))))
-        return alpha
+def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
+                      callback: Optional[Callable[[int, int, float, float], None]] = None,
+                      ) -> tuple[np.ndarray, tuple[SolveReport, ...]]:
+    """Projected subgradient descent on the problems whose +-1 labels are the
+    rows of ``Y`` (C, n), one row of the iterate ``A`` each.  Every rule acts
+    per row, and a row that stops leaves the live set.  Returns each row's
+    projected incumbent and report.  ``callback(c, t, objective, best)`` runs
+    for every live row at t before any row at t + 1."""
+    (C, n), B = Y.shape, cfg.budget
+    loss = make_loss(cfg.loss, B)
     eta0 = cfg.eta0 if cfg.eta0 is not None else B / loss.rho
-    best = alpha.copy()
-    best_obj = math.inf
-    window_best = math.inf
+    live, A, best = np.arange(C), np.zeros((C, n)), np.zeros((C, n))
+    best_obj, window_best = np.full(C, math.inf), np.full(C, math.inf)
+    iterations, reasons = np.full(C, cfg.max_iters), np.full(C, "max_iters", dtype=object)
     for t in range(1, cfg.max_iters + 1):
-        p = G @ alpha
-        q = float(alpha @ p)
-        if q > B * B:
-            c = B / math.sqrt(q)
-            alpha *= c
-            p *= c
-        obj = float(np.mean(loss.value(p, y)))
-        if not math.isfinite(obj):
-            raise SolverDivergenceError(
-                f"objective became {obj} at iteration {t} "
-                f"(|alpha| = {float(np.linalg.norm(alpha)):.3g})",
-                iteration=t, objective=obj, alpha_norm=float(np.linalg.norm(alpha)))
-        if obj < best_obj:
-            best_obj = obj
-            best = alpha.copy()
+        P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
+        _scale_onto_ball(A, P, B)
+        obj = np.mean(loss.value(P, Y), axis=1)
+        if not np.all(np.isfinite(obj)):
+            i = int(np.argmin(np.isfinite(obj)))
+            norm = float(np.linalg.norm(A[i]))
+            raise SolverDivergenceError(f"class {live[i]}: objective became {obj[i]} at "
+                                        f"iteration {t} (|alpha| = {norm:.3g})", t, obj[i], norm)
+        better = obj < best_obj[live]
+        best_obj[live[better]], best[live[better]] = obj[better], A[better]
         if callback is not None:
-            callback(t, obj, best_obj)
+            for c, o, b in zip(live.tolist(), obj.tolist(), best_obj[live].tolist()):
+                callback(c, t, o, b)
+        stalled = np.zeros(len(live), dtype=bool)
         if t % cfg.patience == 0:
-            if window_best - best_obj <= cfg.tolerance * max(abs(window_best), 1e-12):
+            # the first window has no earlier best to compare against
+            prev, window_best[live] = window_best[live], best_obj[live]
+            stalled = np.isfinite(prev) & (
+                prev - best_obj[live] <= cfg.tolerance * np.maximum(np.abs(prev), 1e-12))
+        S = loss.subgradient(P, Y)
+        stop = stalled | ~S.any(axis=1)  # zero subgradient: the incumbent cannot improve
+        if stop.any():
+            iterations[live[stop]] = t
+            reasons[live[stop]] = np.where(stalled[stop], "window", "zero_subgradient")
+            live, A, Y, S = live[~stop], A[~stop], Y[~stop], S[~stop]
+            if not live.size:
                 break
-            window_best = best_obj
-        s = loss.subgradient(p, y)
-        if not np.any(s):
-            break  # zero subgradient: the incumbent cannot improve
-        alpha = alpha - (eta0 / math.sqrt(t)) * (s / n)
-    return project(best, G, B)
+        A = A - (eta0 / math.sqrt(t)) * (S / n)
+    q = _scale_onto_ball(best, best @ G, B)
+    use = q / (B * B) if B > 0 else np.zeros(C)  # at B = 0 the ball is the zero function
+    return best, tuple(SolveReport(int(k), str(r), float(o), min(float(u), 1.0))
+                       for k, r, o, u in zip(iterations, reasons, best_obj, use))
 
 
 @dataclass(frozen=True)
@@ -200,6 +223,7 @@ class KernelPredictor:
     depth: int
     budget: float
     loss_kind: str
+    reports: tuple[SolveReport, ...] = ()
 
     def __post_init__(self):
         s = np.asarray(self.support, dtype=float)
@@ -228,6 +252,7 @@ class OneVsAllPredictor:
     depth: int
     budget: float
     loss_kind: str
+    reports: tuple[SolveReport, ...] = ()  # one per class; empty when loaded
 
     def scores_many(self, Xe) -> np.ndarray:
         K = _cross_kernel(self.depth, np.asarray(Xe, dtype=float), self.support)
@@ -265,12 +290,13 @@ def train(X, y, cfg: TrainConfig,
     """Binary constrained kernel ERM; labels must be +-1."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_training_inputs(X, y)
-    G = gram(KernelStack(cfg.depth), X)
-    loss = make_loss(cfg.loss, cfg.budget)
-    alpha = _minimize_on_gram(G.entries, y, cfg, loss, callback)
-    return KernelPredictor(support=X, alpha=alpha, depth=cfg.depth,
-                           budget=cfg.budget, loss_kind=cfg.loss)
+    _check_unit_rows(X)
+    if not np.all(np.abs(y) == 1.0):
+        raise ValueError("binary labels must be +1 or -1")
+    cb = (lambda c, t, o, b: callback(t, o, b)) if callback else None
+    alphas, reports = _minimize_on_gram(gram(KernelStack(cfg.depth), X).entries, y[None], cfg, cb)
+    return KernelPredictor(support=X, alpha=alphas[0], depth=cfg.depth,
+                           budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
 
 
 def train_multiclass(X, labels, cfg: TrainConfig,
@@ -279,9 +305,10 @@ def train_multiclass(X, labels, cfg: TrainConfig,
     """One-vs-all training over class indices 0..C-1.
 
     C defaults to max label + 1; pass ``n_classes`` to pin it (labels must
-    then cover every index below it).  The Gram matrix is computed once and
-    shared across the per-class runs.
-    ``callback(class_index, iteration, objective, best_objective)``.
+    then cover every index below it).  All classes are solved together over
+    one Gram matrix.  ``callback(class_index, iteration, objective,
+    best_objective)`` runs iteration-major: every live class at iteration t
+    before any class at t + 1.
     """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
@@ -300,16 +327,11 @@ def train_multiclass(X, labels, cfg: TrainConfig,
         raise DegenerateClassError(
             f"classes {missing} never occur in the training labels")
     _check_unit_rows(X)
-    G = gram(KernelStack(cfg.depth), X)
-    loss = make_loss(cfg.loss, cfg.budget)
-    alphas = np.zeros((n_classes, len(X)))
-    for c in range(n_classes):
-        yb = np.where(labels == c, 1.0, -1.0)
-        cb = (lambda t, o, b, _c=c: callback(_c, t, o, b)) if callback else None
-        alphas[c] = _minimize_on_gram(G.entries, yb, cfg, loss, cb)
+    Y = np.where(np.arange(n_classes)[:, None] == labels[None, :], 1.0, -1.0)
+    alphas, reports = _minimize_on_gram(gram(KernelStack(cfg.depth), X).entries, Y, cfg, callback)
     return OneVsAllPredictor(support=X, alphas=alphas,
                              classes=tuple(range(n_classes)), depth=cfg.depth,
-                             budget=cfg.budget, loss_kind=cfg.loss)
+                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
 
 
 def predict(predictor: KernelPredictor, x) -> float:

@@ -109,6 +109,28 @@ def test_train_replay_from_manifest(tmp_path, capsys):
     assert a["alphas"] == b["alphas"] and a["depth"] == b["depth"] == 2
 
 
+def test_train_records_each_class_solve(tmp_path, capsys):
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    model = tmp_path / "m.json"
+    assert main(["train", "--images", ip, "--labels", lp,
+                 "--preprocess", "normalize", "--k", "1", "--B", "5",
+                 "--max-iters", "400", "--out-model", str(model)]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "m.json.metrics.csv").read_text().splitlines()[1:]]
+    objective = [(int(c), int(t)) for kind, c, t, _ in rows if kind == "objective"]
+    assert objective == sorted(objective) and {c for c, _ in objective} == {0, 1, 2}
+    solve = json.loads((tmp_path / "m.json.manifest.json").read_text())["solve"]
+    assert [s["class"] for s in solve] == [0, 1, 2]
+    for s in solve:
+        assert s["stop_reason"] in ("window", "max_iters", "zero_subgradient")
+        assert 1 <= s["iterations"] <= 400 and 0.0 <= s["constraint_use"] <= 1.0
+        per_class = {kind: value for kind, c, _, value in rows if c == str(s["class"])
+                     and kind != "objective"}
+        assert per_class == {k: str(s[k]) for k in ("iterations", "stop_reason",
+                                                     "best_objective", "constraint_use")}
+    assert "solve" not in json.loads(model.read_text())
+
+
 def test_train_zero_budget_zero_alphas(tmp_path, capsys):
     ip, lp = one_hot_dataset(tmp_path, n=2, per_class=2)
     model = tmp_path / "m.json"

@@ -7,6 +7,7 @@ from reckernel.kernel import KernelStack, gram
 from reckernel.solver import (
     DegenerateClassError,
     KernelPredictor,
+    SolverDivergenceError,
     TrainConfig,
     constraint_value,
     make_loss,
@@ -117,6 +118,7 @@ def test_train_zero_budget_returns_zero_alpha():
     y = np.array([1.0, -1.0])
     p = train(X, y, TrainConfig(depth=1, budget=0.0))
     assert np.array_equal(p.alpha, np.zeros(2))
+    assert p.reports[0].constraint_use == 0.0
     assert objective_of(X, y, "hinge", 0.0, p.alpha) == 1.0
 
 
@@ -273,15 +275,93 @@ def test_multiclass_ties_break_to_class_zero():
 
 
 def test_multiclass_two_classes_reduces_to_flipped_binary():
+    # the two one-vs-all problems are negations of each other, which the
+    # batched step keeps exactly; against binary train only rounding differs
+    # (one row of a GEMM against a GEMV)
     rng = np.random.default_rng(9)
     X = random_unit_rows(rng, 10, 4)
     labels = (rng.random(10) < 0.5).astype(int)
-    cfg = TrainConfig(depth=1, budget=2.0, max_iters=300)
-    mp = train_multiclass(X, labels, cfg)
-    plus = train(X, np.where(labels == 1, 1.0, -1.0), cfg)
-    minus = train(X, np.where(labels == 0, 1.0, -1.0), cfg)
-    assert np.array_equal(mp.alphas[1], plus.alpha)
-    assert np.array_equal(mp.alphas[0], minus.alpha)
+    for kind in ("hinge", "logistic", "squared"):
+        cfg = TrainConfig(depth=1, budget=2.0, loss=kind, max_iters=300)
+        mp = train_multiclass(X, labels, cfg)
+        plus = train(X, np.where(labels == 1, 1.0, -1.0), cfg)
+        assert np.array_equal(mp.alphas[0], -mp.alphas[1])
+        np.testing.assert_allclose(mp.alphas[1], plus.alpha, rtol=0, atol=1e-12)
+
+
+def _three_problem_set():
+    """Three one-vs-all problems: class 0 separates and reaches zero hinge
+    loss; classes 1 and 2 share one point, so neither can."""
+    X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    return X, np.array([0, 1, 2])
+
+
+def test_solve_reports_each_class_stop():
+    X, labels = _three_problem_set()
+    B = 10.0
+    cfg = TrainConfig(depth=1, budget=B, max_iters=2000, patience=2001)
+    history = []
+    mp = train_multiclass(X, labels, cfg,
+                          callback=lambda c, t, obj, best: history.append((c, t, best)))
+    G = gram(KernelStack(1), X).entries
+    stops = [(r.iterations, r.stop_reason) for r in mp.reports]
+    assert stops == [(3, "zero_subgradient"), (2000, "max_iters"), (2000, "max_iters")]
+    for c, r in enumerate(mp.reports):
+        got = objective_of(X, np.where(labels == c, 1.0, -1.0), "hinge", B, mp.alphas[c])
+        assert r.best_objective == pytest.approx(got, abs=1e-12)
+        assert r.constraint_use == pytest.approx(mp.alphas[c] @ G @ mp.alphas[c] / B ** 2,
+                                                 rel=1e-12)
+        assert [t for k, t, _ in history if k == c] == list(range(1, r.iterations + 1))
+    assert mp.reports[0].best_objective == 0.0
+    # iteration-major: every live class at t before any class at t + 1
+    assert [t for _, t, _ in history] == sorted(t for _, t, _ in history)
+    assert [k for k, t, _ in history if t == 3] == [0, 1, 2]
+    assert [k for k, t, _ in history if t == 4] == [1, 2]
+
+
+@pytest.mark.parametrize("kind", ["hinge", "logistic"])
+def test_batched_classes_match_binary_train(kind):
+    rng = np.random.default_rng(3)
+    X = random_unit_rows(rng, 300, 8)
+    labels = rng.integers(0, 3, 300)
+    cases = [(X, labels, TrainConfig(depth=1, budget=2.0, loss=kind, max_iters=5000,
+                                     patience=7)),
+             (*_three_problem_set(), TrainConfig(depth=1, budget=10.0, loss=kind,
+                                                 max_iters=2000, patience=2001))]
+    for X, labels, cfg in cases:
+        mp = train_multiclass(X, labels, cfg)
+        for c in range(3):
+            p = train(X, np.where(labels == c, 1.0, -1.0), cfg)
+            np.testing.assert_allclose(mp.alphas[c], p.alpha, rtol=0, atol=1e-12)
+            (want,), got = p.reports, mp.reports[c]
+            assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+            assert got.best_objective == pytest.approx(want.best_objective, rel=1e-12)
+
+
+def test_divergence_names_the_class():
+    cfg = TrainConfig(depth=1, budget=1.0, eta0=np.inf)
+    with np.errstate(invalid="ignore"), pytest.raises(SolverDivergenceError) as err:
+        train_multiclass(np.eye(3), np.array([0, 1, 2]), cfg)
+    assert str(err.value).startswith("class 0: objective became nan at iteration 2")
+    assert err.value.iteration == 2 and np.isnan(err.value.objective)
+
+
+def test_window_stop_waits_for_a_full_window():
+    # the first window has no earlier best to compare against, so no solve
+    # may stop at iteration ``patience`` for want of one
+    rng = np.random.default_rng(3)
+    X = random_unit_rows(rng, 300, 8)
+    labels = rng.integers(0, 3, 300)
+    cfg = TrainConfig(depth=1, budget=2.0, max_iters=5000, patience=7)
+    bests = {0: [], 1: [], 2: []}
+    mp = train_multiclass(X, labels, cfg,
+                          callback=lambda c, t, obj, best: bests[c].append(best))
+    for c, r in enumerate(mp.reports):
+        b = [np.inf] + bests[c]  # b[t] is the best objective after iteration t
+        assert r.stop_reason == "window" and len(b) - 1 == r.iterations > cfg.patience
+        stalled = [t for t in range(2 * cfg.patience, len(b), cfg.patience)
+                   if b[t - cfg.patience] - b[t] <= cfg.tolerance * abs(b[t - cfg.patience])]
+        assert stalled == [r.iterations]
 
 
 def test_multiclass_missing_class_raises():
