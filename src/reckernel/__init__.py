@@ -30,12 +30,10 @@ from .network import (  # noqa: F401
     validate,
 )
 from .solver import (  # noqa: F401
-    KernelPredictor,
     OneVsAllPredictor,
     SolveReport,
     TrainConfig,
     make_loss,
-    predict,
     project,
     sample_size,
     train,

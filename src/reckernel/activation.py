@@ -110,13 +110,6 @@ class LogValue:
             return self
         return LogValue(0.5 * self.log_magnitude)
 
-    def power(self, exponent: float) -> "LogValue":
-        if self.is_zero:
-            if exponent <= 0:
-                raise ValueError("0 cannot be raised to a nonpositive power")
-            return self
-        return LogValue(self.log_magnitude * exponent)
-
     def to_float(self) -> float:
         if self.is_zero:
             return 0.0

@@ -50,7 +50,7 @@ USAGE_ERRORS = (UnknownActivationError, DegenerateClassError, ValueError)
 DATA_ERRORS = (IdxFormatError, GramFormatError, FileNotFoundError)
 NUMERIC_ERRORS = (SeriesDivergenceError, ActivationRangeError,
                   SolverDivergenceError, NumericalError, ConstructionError,
-                  NormBoundError, FeatureMapCapacityError)
+                  NormBoundError, FeatureMapCapacityError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def cmd_train(args) -> int:
     X, y = fds.X[rows], fds.labels[rows]
     cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss,
                       max_iters=args.max_iters, eta0=args.eta0,
-                      tolerance=args.tol, seed=args.seed)
+                      tolerance=args.tol)
     history: list = []
     stride = max(1, args.max_iters // 200)
 
@@ -410,7 +410,7 @@ def cmd_bench(args) -> int:
         for k in args.ks:
             t1 = time.time()
             cfg = TrainConfig(depth=k, budget=args.B, loss=args.loss,
-                              max_iters=args.max_iters, seed=args.seed)
+                              max_iters=args.max_iters)
             pred = train_multiclass(X, y, cfg)
             err = float((pred.classify_many(fte.X) != fte.labels).mean())
             val_err = float((pred.classify_many(fva.X) != fva.labels).mean())
@@ -501,7 +501,6 @@ def build_parser() -> tuple:
     s.add("--max-iters", type=int, default=5000)
     s.add("--eta0", type=float, default=None)
     s.add("--tol", type=float, default=1e-6)
-    s.add("--seed", type=int, default=0)
     s.add("--limit", type=int, default=None)
     s.add("--out-model", required=True)
     s.add("--from-manifest", default=None,

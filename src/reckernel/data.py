@@ -16,7 +16,6 @@ import numpy as np
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
-FEATURES_MAGIC = b"RKFD"
 
 VARIANT_KINDS = ("rotation", "background", "background_rotation")
 PREPROCESS_STEPS = ("deskew", "center", "normalize")
@@ -303,40 +302,3 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
             X = X / np.where(zero, 1.0, norms)[:, None]
     return FeatureDataset(X=X, labels=ds.labels, fingerprint=steps,
                           flagged_rows=flagged)
-
-
-# ---------------------------------------------------------------------------
-# feature exports: CSV (label, values...) and a compact binary
-# (magic, n and d as little-endian uint32, n int32 labels, n*d float64)
-# ---------------------------------------------------------------------------
-
-def write_features_csv(fds: FeatureDataset, path) -> None:
-    with open(path, "w") as f:
-        for i in range(fds.n):
-            f.write(str(int(fds.labels[i])))
-            f.write(",")
-            f.write(",".join(repr(float(v)) for v in fds.X[i]))
-            f.write("\n")
-
-
-def write_features_bin(fds: FeatureDataset, path) -> None:
-    with open(path, "wb") as f:
-        f.write(FEATURES_MAGIC)
-        f.write(struct.pack("<II", fds.n, fds.X.shape[1]))
-        f.write(fds.labels.astype("<i4").tobytes())
-        f.write(np.ascontiguousarray(fds.X, dtype="<f8").tobytes())
-
-
-def read_features_bin(path) -> FeatureDataset:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != FEATURES_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic {blob[:4]!r} at byte offset 0")
-    n, d = struct.unpack("<II", blob[4:12])
-    want = 12 + 4 * n + 8 * n * d
-    if len(blob) != want:
-        raise IdxFormatError(f"{path}: expected {want} bytes for n={n}, d={d}, "
-                             f"got {len(blob)}")
-    labels = np.frombuffer(blob, dtype="<i4", count=n, offset=12).astype(np.int64)
-    X = np.frombuffer(blob, dtype="<f8", offset=12 + 4 * n).reshape(n, d)
-    return FeatureDataset(X=X.copy(), labels=labels, fingerprint=("stored",))

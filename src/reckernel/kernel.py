@@ -46,18 +46,53 @@ class KernelStack:
             raise ValueError("depth must be nonnegative")
 
 
-def norm_violation(norm: float) -> str:
-    """Why an l2 norm fails the unit-ball check (NaN or inf fails it too)."""
-    if not math.isfinite(norm):
-        return f"non-finite l2 norm {norm}"
-    return f"l2 norm {norm:.12g} > 1 (tolerance {NORM_TOL:g})"
+def _check_rows(X: np.ndarray, label: str) -> None:
+    """Raise NormBoundError for the first row of X outside the unit ball,
+    named ``label.format(i)``; a NaN or infinite norm fails too."""
+    norms = np.linalg.norm(X, axis=1)
+    bad = np.flatnonzero(~(norms <= 1.0 + NORM_TOL))
+    if bad.size:
+        i = int(bad[0])
+        n = float(norms[i])
+        why = (f"l2 norm {n:.12g} > 1 (tolerance {NORM_TOL:g})" if math.isfinite(n)
+               else f"non-finite l2 norm {n}")
+        raise NormBoundError(f"{label.format(i)} has {why}")
 
 
-def _check_norm(v: np.ndarray, label: str):
-    n = float(np.linalg.norm(v))
-    # negated so that a NaN norm fails too
-    if not n <= 1.0 + NORM_TOL:
-        raise NormBoundError(f"{label} has {norm_violation(n)}")
+def kernel_matrix(depth: int, A, B=None, label: str = "row {}") -> np.ndarray:
+    """Depth-``depth`` kernel values between the rows of A and the rows of B,
+    or of A with itself when B is None.
+
+    The rows of A must lie in the unit ball; the first that does not raises
+    NormBoundError naming it ``label.format(i)``.  B is not checked: callers
+    pass rows that already passed (a predictor's support set).  With B None,
+    ``A @ A.T`` is one symmetric rank-k product, so the result is exactly
+    symmetric.  Inner products are clamped to [-1, 1], then the recursion
+    runs in closed form, in place: ``1/(1 - Kp) = p + 1/(1 - t)``, that is
+    ``Kp(t) = 1 - (1-t)/(1 + p(1-t))``, so the cost does not grow with depth.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    A = np.ascontiguousarray(np.atleast_2d(A), dtype=float)
+    _check_rows(A, label)
+    if B is None:
+        K = A @ A.T
+    else:
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        if A.shape[1] != B.shape[1]:
+            raise ValueError(f"dimension mismatch: inputs have {A.shape[1]} features, "
+                             f"support points have {B.shape[1]}")
+        K = A @ B.T
+    np.clip(K, -1.0, 1.0, out=K)
+    if depth:
+        # t = 1 gives 1/0 = inf, and the rest maps it to exactly 1
+        with np.errstate(divide="ignore"):
+            np.subtract(1.0, K, out=K)
+            np.reciprocal(K, out=K)
+            K += depth
+            np.reciprocal(K, out=K)
+            np.subtract(1.0, K, out=K)
+    return K
 
 
 def kernel_eval(stack: KernelStack, x, y) -> float:
@@ -70,12 +105,9 @@ def kernel_eval(stack: KernelStack, x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    _check_norm(x, "x")
-    _check_norm(y, "y")
-    t = min(1.0, max(-1.0, float(x @ y)))
-    for _ in range(stack.depth):
-        t = 1.0 / (2.0 - t)
-    return t
+    # kernel_matrix checks only its first operand; x is checked here, first
+    _check_rows(x[None, :], "x")
+    return float(kernel_matrix(stack.depth, y, x, label="y")[0, 0])
 
 
 @dataclass(frozen=True)
@@ -94,25 +126,10 @@ class GramMatrix:
 
 
 def gram(stack: KernelStack, X) -> GramMatrix:
-    """Pairwise kernel matrix over the rows of X.
-
-    Each unordered pair is evaluated once (upper triangle) and mirrored, so
-    the result is exactly symmetric regardless of evaluation schedule.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    norms = np.linalg.norm(X, axis=1)
-    bad = np.nonzero(~(norms <= 1.0 + NORM_TOL))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NormBoundError(f"row {i} has {norm_violation(float(norms[i]))}")
-    dots = X @ X.T
-    upper = np.triu(dots)
-    sym = upper + np.triu(dots, 1).T
-    np.clip(sym, -1.0, 1.0, out=sym)
-    for _ in range(stack.depth):
-        sym = 1.0 / (2.0 - sym)
-    sym.setflags(write=False)
-    return GramMatrix(entries=sym, depth=stack.depth)
+    """Pairwise kernel matrix over the rows of X, exactly symmetric."""
+    K = kernel_matrix(stack.depth, X)
+    K.setflags(write=False)
+    return GramMatrix(entries=K, depth=stack.depth)
 
 
 @dataclass(frozen=True)
@@ -153,7 +170,7 @@ def feature_map(fm: TruncatedFeatureMap, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != fm.base_dim:
         raise ValueError(f"expected a vector of dimension {fm.base_dim}, got shape {x.shape}")
-    _check_norm(x, "x")
+    _check_rows(x[None, :], "x")
     blocks = []
     level = np.ones(1)
     for j in range(fm.max_degree + 1):

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import GramMatrix, KernelStack, NORM_TOL, gram, norm_violation
+from .kernel import KernelStack, gram, kernel_matrix
 
 LOSS_KINDS = ("hinge", "logistic", "squared")
 
@@ -96,15 +96,17 @@ class TrainConfig:
     #: over ``patience`` iterations
     tolerance: float = 1e-6
     patience: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        # negated so that NaN fails too
+        if not 0.0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.patience < 1:
+            raise ValueError("patience must be at least 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.loss not in LOSS_KINDS:
@@ -134,9 +136,8 @@ def project(alpha: np.ndarray, G, B: float) -> np.ndarray:
     Scaling by B / sqrt(alpha' G alpha) is the metric projection because the
     quadratic form is the squared RKHS norm of the represented function.
     """
-    Gm = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
     A = np.array(alpha, dtype=float, ndmin=2)
-    _scale_onto_ball(A, A @ Gm, B)
+    _scale_onto_ball(A, A @ np.asarray(G, dtype=float), B)
     return A.reshape(np.shape(alpha))
 
 
@@ -215,36 +216,11 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
 
 
 @dataclass(frozen=True)
-class KernelPredictor:
-    """Binary predictor ``f(x) = sum_i alpha_i K_depth(x_i, x)``."""
-
-    support: np.ndarray
-    alpha: np.ndarray
-    depth: int
-    budget: float
-    loss_kind: str
-    reports: tuple[SolveReport, ...] = ()
-
-    def __post_init__(self):
-        s = np.asarray(self.support, dtype=float)
-        a = np.asarray(self.alpha, dtype=float)
-        s.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "support", s)
-        object.__setattr__(self, "alpha", a)
-
-    def decision(self, x) -> float:
-        return float(self.decision_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def decision_many(self, Xe) -> np.ndarray:
-        K = _cross_kernel(self.depth, np.asarray(Xe, dtype=float), self.support)
-        return K @ self.alpha
-
-
-@dataclass(frozen=True)
 class OneVsAllPredictor:
-    """Per-class binary predictors sharing one support set; argmax wins,
-    ties broken toward the smallest class index."""
+    """Per-class predictors ``f_c(x) = sum_i alphas[c, i] K_depth(x_i, x)``
+    sharing one support set; argmax wins, ties broken toward the smallest
+    class index.  A binary predictor has one class, and its decision value
+    is ``scores(x)[0]``."""
 
     support: np.ndarray
     alphas: np.ndarray  # (n_classes, n_support)
@@ -254,8 +230,15 @@ class OneVsAllPredictor:
     loss_kind: str
     reports: tuple[SolveReport, ...] = ()  # one per class; empty when loaded
 
+    def __post_init__(self):
+        for name in ("support", "alphas"):
+            # a read-only view: no copy, and the caller's array keeps its flags
+            a = np.asarray(getattr(self, name), dtype=float).view()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
     def scores_many(self, Xe) -> np.ndarray:
-        K = _cross_kernel(self.depth, np.asarray(Xe, dtype=float), self.support)
+        K = kernel_matrix(self.depth, Xe, self.support, label="evaluation row {}")
         return K @ self.alphas.T
 
     def scores(self, x) -> np.ndarray:
@@ -269,25 +252,10 @@ class OneVsAllPredictor:
         return int(self.classify_many(np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _cross_kernel(depth: int, Xe: np.ndarray, Xs: np.ndarray) -> np.ndarray:
-    if Xe.shape[1] != Xs.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: inputs have {Xe.shape[1]} features, "
-            f"support points have {Xs.shape[1]}")
-    norms = np.linalg.norm(Xe, axis=1)
-    bad = np.nonzero(~(norms <= 1.0 + NORM_TOL))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"evaluation row {i} has {norm_violation(float(norms[i]))}")
-    K = np.clip(Xe @ Xs.T, -1.0, 1.0)
-    for _ in range(depth):
-        K = 1.0 / (2.0 - K)
-    return K
-
-
 def train(X, y, cfg: TrainConfig,
-          callback: Optional[Callable[[int, float, float], None]] = None) -> KernelPredictor:
-    """Binary constrained kernel ERM; labels must be +-1."""
+          callback: Optional[Callable[[int, float, float], None]] = None) -> OneVsAllPredictor:
+    """Binary constrained kernel ERM; labels must be +-1.  Returns a
+    one-class predictor whose ``alphas[0]`` is the coefficient vector."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_unit_rows(X)
@@ -295,8 +263,8 @@ def train(X, y, cfg: TrainConfig,
         raise ValueError("binary labels must be +1 or -1")
     cb = (lambda c, t, o, b: callback(t, o, b)) if callback else None
     alphas, reports = _minimize_on_gram(gram(KernelStack(cfg.depth), X).entries, y[None], cfg, cb)
-    return KernelPredictor(support=X, alpha=alphas[0], depth=cfg.depth,
-                           budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
+    return OneVsAllPredictor(support=X, alphas=alphas, classes=(1,), depth=cfg.depth,
+                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
 
 
 def train_multiclass(X, labels, cfg: TrainConfig,
@@ -332,17 +300,6 @@ def train_multiclass(X, labels, cfg: TrainConfig,
     return OneVsAllPredictor(support=X, alphas=alphas,
                              classes=tuple(range(n_classes)), depth=cfg.depth,
                              budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
-
-
-def predict(predictor: KernelPredictor, x) -> float:
-    """Decision value at x; bounded by B on the unit ball via Cauchy-Schwarz."""
-    return predictor.decision(x)
-
-
-def constraint_value(predictor: KernelPredictor) -> float:
-    """alpha' G alpha for the stored support set."""
-    G = gram(KernelStack(predictor.depth), predictor.support)
-    return float(predictor.alpha @ (G.entries @ predictor.alpha))
 
 
 def sample_size(B: float, eps: float, delta: float, loss: Loss) -> int:

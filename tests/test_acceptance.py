@@ -188,9 +188,9 @@ def test_criterion_6_solver_optimality():
         G = gram(KernelStack(cfg.depth), X).entries
         oracle = ellipsoid_oracle(G, y, loss, B)
         p = train(X, y, cfg)
-        got = objective_of(X, y, kind, B, p.alpha, depth=cfg.depth)
+        got = objective_of(X, y, kind, B, p.alphas[0], depth=cfg.depth)
         worst_gap = max(worst_gap, abs(got - oracle))
-        constraints_ok &= p.alpha @ G @ p.alpha <= B * B * (1 + 1e-9)
+        constraints_ok &= p.alphas[0] @ G @ p.alphas[0] <= B * B * (1 + 1e-9)
     elapsed = time.time() - t0
     ok = worst_gap <= 1e-3 and constraints_ok and elapsed < 10.0
     report(6, ok, f"worst |solver - oracle| = {worst_gap:.2e} <= 1e-3 over "
@@ -218,7 +218,7 @@ def desk_bench():
         fte = preprocess(te, steps)
         ks = (1,) if variant == "basic" else (1, 4)
         for k in ks:
-            cfg = TrainConfig(depth=k, budget=100.0, max_iters=3000, seed=0)
+            cfg = TrainConfig(depth=k, budget=100.0, max_iters=3000)
             pred = train_multiclass(ftr.X, ftr.labels, cfg)
             results[(variant, f"k{k}")] = float(
                 (pred.classify_many(fte.X) != fte.labels).mean())

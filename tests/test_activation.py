@@ -197,7 +197,7 @@ def test_f_quadratic_matches_hand_iteration(L):
 def test_f_quadratic_composition_bound(L):
     for k in range(1, 7):
         F = compute_F(QUAD, k, L).value
-        assert F <= LogValue.from_float(ROOT8 * L).power(2 ** (k + 1) - 1)
+        assert F <= LogValue.from_log((2 ** (k + 1) - 1) * math.log(ROOT8 * L))
 
 
 def test_f_depth_one_equals_h_exactly():

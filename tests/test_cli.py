@@ -109,6 +109,31 @@ def test_train_replay_from_manifest(tmp_path, capsys):
     assert a["alphas"] == b["alphas"] and a["depth"] == b["depth"] == 2
 
 
+def test_train_replays_a_manifest_that_records_a_seed(tmp_path, capsys):
+    # manifests written while train still took --seed carry it in their config
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    m1, m2 = tmp_path / "m1.json", tmp_path / "m2.json"
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--k", "2", "--B", "7", "--max-iters", "150", "--out-model", str(m1)]) == 0
+    manifest = tmp_path / "m1.json.manifest.json"
+    stored = json.loads(manifest.read_text())
+    assert "seed" not in stored["config"]
+    stored["config"]["seed"] = 5
+    manifest.write_text(json.dumps(stored))
+    assert main(["train", "--images", ip, "--labels", lp, "--from-manifest", str(manifest),
+                 "--out-model", str(m2)]) == 0
+    assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_train_squared_loss_overflow_exits_4(tmp_path, capsys):
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    rc = main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+               "--loss", "squared", "--B", "1e200", "--max-iters", "10",
+               "--out-model", str(tmp_path / "m.json")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("numeric failure:")
+
+
 def test_train_records_each_class_solve(tmp_path, capsys):
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     model = tmp_path / "m.json"

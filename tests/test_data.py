@@ -7,12 +7,9 @@ from reckernel.data import (
     deskew,
     make_variant,
     preprocess,
-    read_features_bin,
     read_idx,
     rotate_image,
     shear_coefficient,
-    write_features_bin,
-    write_features_csv,
     write_idx,
 )
 
@@ -219,28 +216,3 @@ def test_preprocessed_rows_satisfy_kernel_precondition(small_corpus):
     from reckernel.kernel import KernelStack, gram
     fds = preprocess(small_corpus, ("deskew", "center", "normalize"))
     gram(KernelStack(1), fds.X)  # must not raise
-
-
-# ---------------------------------------------------------------------------
-# feature exports
-# ---------------------------------------------------------------------------
-
-def test_features_binary_round_trip(tmp_path, small_corpus):
-    fds = preprocess(small_corpus, ("center", "normalize"))
-    path = tmp_path / "f.bin"
-    write_features_bin(fds, path)
-    back = read_features_bin(path)
-    assert np.array_equal(back.X, fds.X)
-    assert np.array_equal(back.labels, fds.labels)
-
-
-def test_features_csv_layout(tmp_path, small_corpus):
-    fds = preprocess(small_corpus, ("normalize",))
-    path = tmp_path / "f.csv"
-    write_features_csv(fds, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == fds.n
-    first = lines[0].split(",")
-    assert int(first[0]) == fds.labels[0]
-    assert len(first) == 1 + fds.X.shape[1]
-    assert float(first[1]) == fds.X[0, 0]

@@ -13,6 +13,7 @@ from reckernel.kernel import (
     feature_map,
     gram,
     kernel_eval,
+    kernel_matrix,
     read_gram,
     write_gram,
 )
@@ -52,6 +53,10 @@ def test_depth_zero_is_inner_product():
 def test_norm_violation_names_the_vector():
     with pytest.raises(NormBoundError, match="y has l2 norm"):
         kernel_eval(KernelStack(1), E1, 1.5 * E2)
+    with pytest.raises(NormBoundError, match="x has l2 norm"):
+        kernel_eval(KernelStack(1), 1.5 * E1, E2)
+    with pytest.raises(NormBoundError, match="x has l2 norm"):
+        feature_map(TruncatedFeatureMap(2, 1), 1.5 * E1)
     with pytest.raises(ValueError):
         KernelStack(-1)
 
@@ -85,6 +90,27 @@ def test_monotone_in_inner_product(a, b):
         assert va <= vb + 1e-12
 
 
+def iterated_recursion(depth, t):
+    """The definition Kp = 1/(2 - K(p-1)) step by step: the reference oracle
+    for the closed form the library evaluates."""
+    t = np.clip(t, -1.0, 1.0)
+    for _ in range(depth):
+        t = 1.0 / (2.0 - t)
+    return t
+
+
+def test_closed_form_matches_iterated_recursion():
+    t = np.linspace(-1.0, 1.0, 100_001)
+    for p in range(51):
+        # one-dimensional rows against the support point 1 give <x, y> = t exactly
+        got = kernel_matrix(p, t[:, None], np.ones((1, 1)))[:, 0]
+        want = iterated_recursion(p, t)
+        if p == 0:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=4e-15, err_msg=f"depth {p}")
+
+
 def test_self_norm_contraction_inside_ball():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -115,6 +141,20 @@ def test_gram_exact_symmetry_and_unit_diagonal():
     G = gram(KernelStack(2), X)
     assert np.array_equal(G.entries, G.entries.T)
     assert np.all(G.entries.diagonal() <= 1.0)
+
+
+def test_gram_exactly_symmetric_at_image_scale():
+    rng = np.random.default_rng(12)
+    G = gram(KernelStack(2), random_unit_rows(rng, 2000, 784)).entries
+    assert np.array_equal(G, G.T)
+
+
+def test_cross_kernel_matches_gram():
+    rng = np.random.default_rng(13)
+    X = random_unit_rows(rng, 300, 50)
+    for p in range(6):
+        np.testing.assert_allclose(kernel_matrix(p, X, X), gram(KernelStack(p), X).entries,
+                                   rtol=0, atol=1e-15)
 
 
 def test_gram_psd_on_random_datasets():

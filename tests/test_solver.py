@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from reckernel.kernel import KernelStack, gram
 from reckernel.solver import (
     DegenerateClassError,
-    KernelPredictor,
+    OneVsAllPredictor,
     SolverDivergenceError,
     TrainConfig,
-    constraint_value,
     make_loss,
-    predict,
     project,
     sample_size,
     train,
@@ -109,17 +107,18 @@ def test_train_separable_pair_reaches_zero_loss():
     X = np.eye(2)
     y = np.array([1.0, -1.0])
     p = train(X, y, TrainConfig(depth=1, budget=10.0))
-    assert objective_of(X, y, "hinge", 10.0, p.alpha) < 0.01
-    assert constraint_value(p) <= 100.0 * (1 + 1e-9)
+    a = p.alphas[0]
+    assert objective_of(X, y, "hinge", 10.0, a) < 0.01
+    assert a @ gram(KernelStack(1), X).entries @ a <= 100.0 * (1 + 1e-9)
 
 
 def test_train_zero_budget_returns_zero_alpha():
     X = np.eye(2)
     y = np.array([1.0, -1.0])
     p = train(X, y, TrainConfig(depth=1, budget=0.0))
-    assert np.array_equal(p.alpha, np.zeros(2))
+    assert np.array_equal(p.alphas, np.zeros((1, 2)))
     assert p.reports[0].constraint_use == 0.0
-    assert objective_of(X, y, "hinge", 0.0, p.alpha) == 1.0
+    assert objective_of(X, y, "hinge", 0.0, p.alphas[0]) == 1.0
 
 
 def test_train_all_positive_labels():
@@ -130,16 +129,16 @@ def test_train_all_positive_labels():
     alpha_const = np.linalg.solve(G, np.ones(3))
     assert alpha_const @ G @ alpha_const <= 4.0
     p = train(X, y, TrainConfig(depth=1, budget=2.0))
-    assert objective_of(X, y, "hinge", 2.0, p.alpha) < 0.01
+    assert objective_of(X, y, "hinge", 2.0, p.alphas[0]) < 0.01
 
 
 def test_train_is_deterministic():
     rng = np.random.default_rng(5)
     X = random_unit_rows(rng, 12, 6)
     y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
-    cfg = TrainConfig(depth=2, budget=3.0, max_iters=500, seed=123)
-    a = train(X, y, cfg).alpha
-    b = train(X, y, cfg).alpha
+    cfg = TrainConfig(depth=2, budget=3.0, max_iters=500)
+    a = train(X, y, cfg).alphas
+    b = train(X, y, cfg).alphas
     assert np.array_equal(a, b)
 
 
@@ -154,6 +153,15 @@ def test_train_rejects_bad_inputs():
         TrainConfig(depth=1, budget=1.0, tolerance=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("patience", 0), ("patience", -3),
+                                          ("budget", np.nan), ("budget", np.inf)])
+def test_train_config_rejects_bad_patience_and_budget(field, value):
+    # patience 0 used to fail mid-solve on t % 0, a negative one acted as its
+    # absolute value, and a NaN budget was accepted
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{"depth": 1, "budget": 1.0, field: value})
+
+
 def test_best_objective_non_increasing_in_max_iters():
     rng = np.random.default_rng(6)
     X = random_unit_rows(rng, 10, 3)
@@ -162,7 +170,7 @@ def test_best_objective_non_increasing_in_max_iters():
     for iters in (50, 200, 1000, 4000):
         cfg = TrainConfig(depth=1, budget=2.0, max_iters=iters, tolerance=1e-15)
         p = train(X, y, cfg)
-        objs.append(objective_of(X, y, "hinge", 2.0, p.alpha))
+        objs.append(objective_of(X, y, "hinge", 2.0, p.alphas[0]))
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
 
@@ -182,26 +190,30 @@ def test_solver_matches_feasible_region_oracle(name, X, y, kind, B, cfg):
     G = gram(KernelStack(cfg.depth), X).entries
     oracle = ellipsoid_oracle(G, y, loss, B)
     p = train(X, y, cfg)
-    got = objective_of(X, y, kind, B, p.alpha, depth=cfg.depth)
+    a = p.alphas[0]
+    got = objective_of(X, y, kind, B, a, depth=cfg.depth)
     assert abs(got - oracle) <= 1e-3, f"{name}: solver {got} vs oracle {oracle}"
-    assert p.alpha @ G @ p.alpha <= B * B * (1 + 1e-9)
+    assert a @ G @ a <= B * B * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
 
+def binary_predictor(support, alpha, depth):
+    return OneVsAllPredictor(support=support, alphas=alpha[None, :], classes=(1,),
+                             depth=depth, budget=1.0, loss_kind="hinge")
+
+
 def test_predict_zero_alpha():
-    p = KernelPredictor(support=np.eye(2), alpha=np.zeros(2), depth=1,
-                        budget=1.0, loss_kind="hinge")
-    assert predict(p, np.array([1.0, 0.0])) == 0.0
+    p = binary_predictor(np.eye(2), np.zeros(2), depth=1)
+    assert p.scores(np.array([1.0, 0.0]))[0] == 0.0
 
 
 def test_predict_single_support_fixed_point():
     x = np.array([0.6, 0.8])
-    p = KernelPredictor(support=x[None, :], alpha=np.array([0.7]), depth=3,
-                        budget=1.0, loss_kind="hinge")
-    assert predict(p, x) == pytest.approx(0.7, rel=1e-12)
+    p = binary_predictor(x[None, :], np.array([0.7]), depth=3)
+    assert p.scores(x)[0] == pytest.approx(0.7, rel=1e-12)
 
 
 def test_predict_bounded_by_budget():
@@ -212,7 +224,7 @@ def test_predict_bounded_by_budget():
     p = train(X, y, TrainConfig(depth=1, budget=B, max_iters=400))
     for _ in range(100):
         x = random_unit_rows(rng, 1, 5)[0]
-        assert abs(predict(p, x)) <= B * (1 + 1e-9)
+        assert abs(p.scores(x)[0]) <= B * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -237,15 +249,28 @@ def test_classify_rejects_non_finite_rows(bad):
     with pytest.raises(ValueError, match="evaluation row 0 has non-finite l2 norm"):
         p.classify(Xe[2])
     with pytest.raises(ValueError, match="non-finite"):
-        predict(train(X, np.where(np.arange(12) % 2, 1.0, -1.0),
-                      TrainConfig(depth=1, budget=1.0, max_iters=20)), Xe[2])
+        train(X, np.where(np.arange(12) % 2, 1.0, -1.0),
+              TrainConfig(depth=1, budget=1.0, max_iters=20)).scores(Xe[2])
 
 
 def test_predict_dimension_mismatch():
-    p = KernelPredictor(support=np.eye(3), alpha=np.zeros(3), depth=1,
-                        budget=1.0, loss_kind="hinge")
+    p = binary_predictor(np.eye(3), np.zeros(3), depth=1)
     with pytest.raises(ValueError, match="dimension"):
-        predict(p, np.array([1.0, 0.0]))
+        p.scores(np.array([1.0, 0.0]))
+
+
+def test_trained_predictors_are_read_only():
+    rng = np.random.default_rng(11)
+    X = random_unit_rows(rng, 12, 4)
+    cfg = TrainConfig(depth=1, budget=1.0, max_iters=20)
+    binary = train(X, np.where(np.arange(12) % 2, 1.0, -1.0), cfg)
+    multi = train_multiclass(X, np.arange(12) % 3, cfg)
+    assert binary.classes == (1,) and binary.alphas.shape == (1, 12)
+    for p in (binary, multi):
+        assert not p.alphas.flags.writeable and not p.support.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            p.alphas[0, 0] = 1.0
+    assert X.flags.writeable  # the caller's array keeps its flags
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +311,7 @@ def test_multiclass_two_classes_reduces_to_flipped_binary():
         mp = train_multiclass(X, labels, cfg)
         plus = train(X, np.where(labels == 1, 1.0, -1.0), cfg)
         assert np.array_equal(mp.alphas[0], -mp.alphas[1])
-        np.testing.assert_allclose(mp.alphas[1], plus.alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mp.alphas[1], plus.alphas[0], rtol=0, atol=1e-12)
 
 
 def _three_problem_set():
@@ -332,7 +357,7 @@ def test_batched_classes_match_binary_train(kind):
         mp = train_multiclass(X, labels, cfg)
         for c in range(3):
             p = train(X, np.where(labels == c, 1.0, -1.0), cfg)
-            np.testing.assert_allclose(mp.alphas[c], p.alpha, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mp.alphas[c], p.alphas[0], rtol=0, atol=1e-12)
             (want,), got = p.reports, mp.reports[c]
             assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
             assert got.best_objective == pytest.approx(want.best_objective, rel=1e-12)
