@@ -390,12 +390,12 @@ def _h_log(act: Activation, L: float, log_lam: LogValue, tol: float,
 
 def compute_H(act: Activation, L: float, lam: float, tol: float = 1e-12) -> LogValue:
     """The level function ``L * sqrt(sum_j 2^(j+1) beta_j^2 lam^(2j))``."""
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L!r}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     value, _ = _h_log(act, L, LogValue.from_float(lam), tol)
     return value
 
@@ -408,10 +408,10 @@ def compute_F(act: Activation, k: int, L: float, tol: float = 1e-12) -> Capacity
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     lam = LogValue.from_float(L)
     levels: list[LogValue] = []
     total_terms = 0
@@ -477,33 +477,49 @@ def taylor_value(act: Activation, x: float) -> float:
     sum falls back to doubles and refuses points where cancellation would
     destroy the result.
     """
-    x = float(x)
+    return _series_values(act, [x])[0]
+
+
+def _series_values(act: Activation, xs: Sequence[float]) -> list[float]:
+    """:func:`taylor_value` at each point of ``xs``: one mpmath coefficient table
+    per call, at the largest precision needed, and one sum per distinct point."""
+    xs = [float(x) for x in xs]
     if act.max_degree is not None:
-        return math.fsum(act.coeff(j) * x ** j for j in range(act.max_degree + 1))
-    if x == 0.0:
-        return act.coeff(0)
-    peak, cutoff = _series_scan(act, x)
-    if peak == float("-inf"):
-        return 0.0
-    if act.coeff_mp_fn is None:
-        if peak * LOG10E > 8.0:  # double-precision terms keep ~16 digits
-            raise ActivationRangeError(
-                f"evaluating {act.name!r} at x={x!r} needs extended precision "
-                "but the activation does not provide precision-aware coefficients")
-        return math.fsum(act.coeff(j) * x ** j for j in range(cutoff + 1))
-    digits = max(30, int(peak * LOG10E) + 30)
-    if digits > MAX_EVAL_DIGITS:
-        raise ActivationRangeError(
-            f"evaluating {act.name!r} at x={x!r} needs ~{digits} digits, "
-            f"above the {MAX_EVAL_DIGITS}-digit cap")
-    with mpmath.workdps(digits):
-        mx = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        for j in range(cutoff + 1):
-            c = act.coeff_mp_fn(j)
-            if c:
-                total += c * mx ** j
-        return float(total)
+        return [math.fsum(act.coeff(j) * x ** j for j in range(act.max_degree + 1))
+                for x in xs]
+    values, plans = {}, {}  # plans: x -> (digits, cutoff) of an mpmath sum
+    for x in dict.fromkeys(xs):
+        if x == 0.0:
+            values[x] = act.coeff(0)
+            continue
+        peak, cutoff = _series_scan(act, x)
+        if peak == float("-inf"):
+            values[x] = 0.0
+        elif act.coeff_mp_fn is None:
+            if peak * LOG10E > 8.0:  # double-precision terms keep ~16 digits
+                raise ActivationRangeError(
+                    f"evaluating {act.name!r} at x={x!r} needs extended precision "
+                    "but the activation does not provide precision-aware coefficients")
+            values[x] = math.fsum(act.coeff(j) * x ** j for j in range(cutoff + 1))
+        else:
+            digits = max(30, int(peak * LOG10E) + 30)
+            if digits > MAX_EVAL_DIGITS:
+                raise ActivationRangeError(
+                    f"evaluating {act.name!r} at x={x!r} needs ~{digits} digits, "
+                    f"above the {MAX_EVAL_DIGITS}-digit cap")
+            plans[x] = (digits, cutoff)
+    if plans:
+        with mpmath.workdps(max(d for d, _ in plans.values())):
+            coeffs = [act.coeff_mp_fn(j) for j in range(max(c for _, c in plans.values()) + 1)]
+    for x, (digits, cutoff) in plans.items():
+        with mpmath.workdps(digits):
+            mx, power, total = mpmath.mpf(x), mpmath.mpf(1), mpmath.mpf(0)
+            for c in coeffs[:cutoff + 1]:
+                if c:
+                    total += c * power
+                power *= mx
+            values[x] = float(total)
+    return [values[x] for x in xs]
 
 
 @dataclass(frozen=True)
@@ -535,6 +551,9 @@ def check_shape(act: Activation, grid: Sequence[float],
     pts = [float(g) for g in grid]
     if len(pts) < 2:
         raise ValueError("grid needs at least two points")
+    bad = next((i for i, x in enumerate(pts) if not math.isfinite(x)), None)
+    if bad is not None:
+        raise ValueError(f"grid has a non-finite point at index {bad}: {pts[bad]!r}")
     if any(b < a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be sorted ascending")
     checked = kind if kind is not None else act.kind
@@ -548,9 +567,10 @@ def check_shape(act: Activation, grid: Sequence[float],
             f"grid spans [{pts[0]}, {pts[-1]}]; the shape check is limited to [-10, 10]")
 
     if checked == "sigmoid_like":
-        vals = [taylor_value(act, x) for x in pts]
+        vals = _series_values(act, pts)
     else:
-        vals = [taylor_value(act, x) - taylor_value(act, x - 1.0) for x in pts]
+        both = _series_values(act, pts + [x - 1.0 for x in pts])
+        vals = [a - b for a, b in zip(both, both[len(pts):])]
 
     scale = max(1.0, max(abs(v) for v in vals))
     slack = 1e-12 * scale

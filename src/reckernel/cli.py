@@ -569,10 +569,7 @@ def main(argv=None) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NUMERIC_ERRORS as e:
-        extra = ""
-        if isinstance(e, SeriesDivergenceError) and e.level is not None:
-            extra = f" (level {e.level})"
-        print(f"numeric failure: {e}{extra}", file=sys.stderr)
+        print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

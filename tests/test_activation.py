@@ -1,11 +1,17 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reckernel import activation
 from reckernel.activation import (
+    LOG10E,
+    MAX_EVAL_DIGITS,
     ActivationRangeError,
     Activation,
     LogValue,
@@ -16,6 +22,8 @@ from reckernel.activation import (
     compute_F,
     compute_H,
     taylor_value,
+    _series_scan,
+    _series_values,
 )
 
 QUAD = builtin_activation("quadratic")
@@ -236,6 +244,22 @@ def test_f_rejects_bad_arguments():
         compute_H(QUAD, 1.0, 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: compute_F(ERF, 2, math.nan),
+    lambda: compute_F(ERF, 1, math.inf),
+    lambda: compute_F(ERF, 1, 1.0, tol=math.nan),
+    lambda: compute_F(SH, 1, 1.0, tol=math.inf),
+    lambda: compute_H(ERF, math.nan, 1.0),
+    lambda: compute_H(ERF, 1.0, math.nan),
+    lambda: compute_H(ERF, 1.0, math.inf),
+    lambda: compute_H(ERF, 1.0, 1.0, tol=math.nan),
+])
+def test_capacity_rejects_non_finite_arguments(call):
+    # a NaN level would run the series to its term cap and pass for a divergence
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # shape diagnostics
 # ---------------------------------------------------------------------------
@@ -278,6 +302,13 @@ def test_shape_rejects_bad_grids():
         check_shape(ERF, [-12.0, 0.0, 12.0])
 
 
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [-math.inf, 0.0], [0.0, math.inf]])
+def test_shape_rejects_non_finite_grid_points(grid):
+    # NaN passes the sort and window checks, so it must be caught first
+    with pytest.raises(ValueError, match="non-finite point"):
+        check_shape(ERF, grid)
+
+
 def test_taylor_range_error_outside_convergence_radius():
     geometric = Activation("geometric", "sigmoid_like",
                            lambda j: 1.0, lambda j: 0.0)
@@ -288,3 +319,88 @@ def test_taylor_range_error_outside_convergence_radius():
 def test_wide_grid_within_window_is_fine():
     report = check_shape(ERF, [float(x) for x in range(-10, 11)])
     assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# the batched series evaluator against the per-point summation it replaced
+# ---------------------------------------------------------------------------
+
+def _taylor_value_oracle(act, x):
+    """Per-point mpmath summation: every coefficient and power built afresh."""
+    x = float(x)
+    if x == 0.0:
+        return act.coeff(0)
+    peak, cutoff = _series_scan(act, x)
+    if peak == float("-inf"):
+        return 0.0
+    digits = max(30, int(peak * LOG10E) + 30)
+    assert digits <= MAX_EVAL_DIGITS
+    with mpmath.workdps(digits):
+        mx = mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        for j in range(cutoff + 1):
+            c = act.coeff_mp_fn(j)
+            if c:
+                total += c * mx ** j
+        return float(total)
+
+
+GRID41 = [float(x) for x in np.linspace(-10.0, 10.0, 41)]
+
+
+@pytest.mark.parametrize("act", [ERF, SH], ids=lambda a: a.name)
+def test_series_values_match_per_point_oracle(act):
+    rng = np.random.default_rng(20151)
+    pts = GRID41 + [x - 1.0 for x in GRID41] + list(rng.uniform(-11.0, 10.0, 200))
+    got = _series_values(act, pts)
+    want = [_taylor_value_oracle(act, x) for x in pts]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-25
+    # one point alone builds its table at its own precision, so it may differ
+    # from the batched value in the last few of its 30+ digits
+    assert all(abs(taylor_value(act, x) - w) <= 1e-25 for x, w in zip(pts[::17], want[::17]))
+
+
+@pytest.mark.parametrize("act, kind, ok", [
+    (ERF, "sigmoid_like", True),
+    (ERF, "relu_like", False),  # the erf's unit differences rise, then fall
+    (SH, "sigmoid_like", True),
+    (SH, "relu_like", True),
+], ids=["erf-sigmoid", "erf-relu", "hinge-sigmoid", "hinge-relu"])
+def test_shape_report_matches_per_point_oracle(act, kind, ok, monkeypatch):
+    got = check_shape(act, GRID41, kind=kind)
+    monkeypatch.setattr(activation, "_series_values",
+                        lambda a, xs: [_taylor_value_oracle(a, x) for x in xs])
+    want = check_shape(act, GRID41, kind=kind)
+    assert got.ok == want.ok == ok
+    assert got.violations == want.violations
+    assert max(abs(g - w) for g, w in zip(got.values, want.values)) <= 1e-25
+
+
+@pytest.mark.parametrize("act, table", [(ERF, 1808), (SH, 2157)], ids=["shifted_erf", "smoothed_hinge"])
+def test_check_shape_builds_one_coefficient_table(act, table):
+    calls = []
+
+    def counted(j):
+        calls.append(j)
+        return act.coeff_mp_fn(j)
+
+    pts = GRID41 if act.kind == "sigmoid_like" else GRID41 + [x - 1.0 for x in GRID41]
+    cutoff = max(_series_scan(act, x)[1] for x in pts if x != 0.0)
+    check_shape(dataclasses.replace(act, coeff_mp_fn=counted), GRID41)
+    assert cutoff + 1 == table
+    assert len(calls) <= cutoff + 1
+
+
+def test_series_values_rebuild_the_table_in_every_call():
+    # no coefficient table outlives a call, so repeated calls repeat the work
+    calls = []
+
+    def counted(j):
+        calls.append(j)
+        return ERF.coeff_mp_fn(j)
+
+    act = dataclasses.replace(ERF, coeff_mp_fn=counted)
+    once = _series_values(act, [2.5])
+    n = len(calls)
+    assert _series_values(act, [2.5, 2.5, 2.5]) == once * 3
+    assert len(calls) == 2 * n

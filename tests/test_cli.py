@@ -50,6 +50,21 @@ def test_bound_divergence_exits_4_with_level(capsys):
     assert "level 2" in capsys.readouterr().err
 
 
+def test_bound_divergence_names_the_level_once(capsys):
+    assert main(["bound", "--activation", "shifted_erf", "--k", "2", "--L", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("level 2") == 1
+    assert "(level" not in err
+
+
+@pytest.mark.parametrize("extra", [["--L", "nan"], ["--L", "inf"], ["--L", "1", "--tol", "nan"]])
+def test_bound_non_finite_input_exits_2(extra, capsys):
+    # not exit 4: the series did not diverge, the input was bad
+    assert main(["bound", "--activation", "shifted_erf", "--k", "2"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_gram_export_decodes(tmp_path, capsys):
     ip, lp = one_hot_dataset(tmp_path, n=2)
     out = tmp_path / "g.bin"
