@@ -484,6 +484,10 @@ def _series_values(act: Activation, xs: Sequence[float]) -> list[float]:
     """:func:`taylor_value` at each point of ``xs``: one mpmath coefficient table
     per call, at the largest precision needed, and one sum per distinct point."""
     xs = [float(x) for x in xs]
+    bad = next((x for x in xs if not math.isfinite(x)), None)
+    if bad is not None:
+        raise ActivationRangeError(
+            f"cannot evaluate {act.name!r} at the non-finite point x={bad!r}")
     if act.max_degree is not None:
         return [math.fsum(act.coeff(j) * x ** j for j in range(act.max_degree + 1))
                 for x in xs]

@@ -7,7 +7,9 @@ each class's solve ended); rerunning a command with the same flags reproduces
 its model files byte for byte.
 
 A config file of ``key = value`` lines (``#`` comments allowed) can preset any
-long option of a subcommand; explicit flags win.  The environment variable
+long option of a subcommand; ``train --from-manifest`` presets every option an
+earlier run recorded except ``--out-model``.  Precedence: explicit flag >
+``--config`` > ``--from-manifest`` > built-in default.  The environment variable
 RECKERNEL_DATA_DIR supplies the default --data-dir for bench.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
@@ -32,8 +34,7 @@ from .baseline import LogisticConfig, predict_logistic, train_logistic
 from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS,
                    make_variant, preprocess, read_idx, write_idx)
 from .glyphs import make_corpus
-from .kernel import (FeatureMapCapacityError, GramFormatError, KernelStack,
-                     NormBoundError, gram, write_gram)
+from .kernel import GramFormatError, KernelStack, NormBoundError, gram, write_gram
 from .network import (ConstructionError, brute_force_margins,
                       build_hardness_net, net_to_json, random_halfspace_family,
                       required_budget, select_margin_param, validate)
@@ -50,7 +51,7 @@ USAGE_ERRORS = (UnknownActivationError, DegenerateClassError, ValueError)
 DATA_ERRORS = (IdxFormatError, GramFormatError, FileNotFoundError)
 NUMERIC_ERRORS = (SeriesDivergenceError, ActivationRangeError,
                   SolverDivergenceError, NumericalError, ConstructionError,
-                  NormBoundError, FeatureMapCapacityError, OverflowError)
+                  NormBoundError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -99,34 +100,23 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict,
-                  option_types: dict) -> None:
-    """Overlay config-file values onto arguments the user left at defaults."""
-    if not getattr(args, "config", None):
-        return
-    values = _load_config_file(args.config)
-    for key, raw in values.items():
-        if key not in parser_defaults:
+def _presets(args: argparse.Namespace) -> dict:
+    """Option defaults: what the ``--from-manifest`` run recorded (keys this
+    command no longer has are skipped), then the ``--config`` file on top."""
+    options = set(vars(args)) - {"command", "func"}
+    config = _load_config_file(args.config) if args.config else {}
+    for key in config:
+        if key not in options:
             raise ValueError(f"config key {key!r} is not an option of this command")
-        if getattr(args, key) == parser_defaults[key]:
-            setattr(args, key, option_types[key](raw))
-
-
-class _Sub:
-    """Subparser wrapper that remembers defaults and types for config overlay."""
-
-    def __init__(self, parser: argparse.ArgumentParser):
-        self.parser = parser
-        self.defaults: dict = {}
-        self.types: dict = {}
-        parser.add_argument("--config", default=None,
-                            help="key = value file presetting these options")
-
-    def add(self, *flags, **kwargs):
-        action = self.parser.add_argument(*flags, **kwargs)
-        self.defaults[action.dest] = action.default
-        self.types[action.dest] = kwargs.get("type", str)
-        return action
+    manifest = getattr(args, "from_manifest", None) or config.get("from_manifest")
+    if not manifest:
+        return config
+    with open(manifest) as f:
+        stored = json.load(f)["config"]
+    # the output path stays with the current invocation
+    replay = {k: tuple(v) if isinstance(v, list) else v for k, v in stored.items()
+              if k in options and k not in ("from_manifest", "out_model")}
+    return {**replay, **config}
 
 
 def _steps_list(text: str) -> tuple:
@@ -137,21 +127,28 @@ def _int_list(text: str) -> tuple:
     return tuple(int(s) for s in text.split(",") if s)
 
 
-def _str_list(text: str) -> tuple:
-    return tuple(s for s in text.split(",") if s)
-
-
 # ---------------------------------------------------------------------------
 # shared data handling
 # ---------------------------------------------------------------------------
 
+def _idx_pair(prefix) -> tuple:
+    return f"{prefix}-images.idx", f"{prefix}-labels.idx"
+
+
+def _add_idx_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--data", default=None,
+                        help="IDX pair prefix (PREFIX-images.idx / PREFIX-labels.idx)")
+    parser.add_argument("--images", default=None)
+    parser.add_argument("--labels", default=None)
+
+
 def _resolve_idx_pair(args) -> tuple:
-    """Accept either --data PREFIX (expands to PREFIX-images.idx /
-    PREFIX-labels.idx) or the explicit --images/--labels pair."""
-    if getattr(args, "data", None):
+    """Accept either --data PREFIX (see :func:`_idx_pair`) or the explicit
+    --images/--labels pair."""
+    if args.data:
         if args.images or args.labels:
             raise ValueError("pass either --data or --images/--labels, not both")
-        return args.data + "-images.idx", args.data + "-labels.idx"
+        return _idx_pair(args.data)
     if not (args.images and args.labels):
         raise ValueError("need --data PREFIX or both --images and --labels")
     return args.images, args.labels
@@ -161,13 +158,11 @@ def _load_features(images, labels, steps, limit=None):
     ds = read_idx(images, labels)
     if limit is not None and limit < ds.n:
         ds = ds.subset(np.arange(limit))
-    fds = preprocess(ds, steps)
-    return ds, fds
+    return ds, preprocess(ds, steps)
 
 
 def _usable_rows(fds):
-    keep = np.setdiff1d(np.arange(fds.n), np.array(fds.flagged_rows, dtype=int))
-    return keep
+    return np.setdiff1d(np.arange(fds.n), np.array(fds.flagged_rows, dtype=int))
 
 
 def _model_payload(pred: OneVsAllPredictor, images, labels, rows, steps) -> dict:
@@ -241,14 +236,6 @@ def cmd_gram(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.from_manifest:
-        with open(args.from_manifest) as f:
-            stored = json.load(f)["config"]
-        # restore the training configuration; the output path stays with the
-        # current invocation
-        for key, val in stored.items():
-            if key not in ("from_manifest", "out_model") and hasattr(args, key):
-                setattr(args, key, tuple(val) if isinstance(val, list) else val)
     t0 = time.time()
     images, labels = _resolve_idx_pair(args)
     _, fds = _load_features(images, labels, tuple(args.preprocess), args.limit)
@@ -365,8 +352,7 @@ def cmd_synth(args) -> int:
     t0 = time.time()
     for i, (split, size) in enumerate(sizes.items()):
         ds = make_corpus(size, seed=args.seed + i)
-        ip = os.path.join(args.out_dir, f"basic-{split}-images.idx")
-        lp = os.path.join(args.out_dir, f"basic-{split}-labels.idx")
+        ip, lp = _idx_pair(os.path.join(args.out_dir, f"basic-{split}"))
         write_idx(ds, ip, lp)
         print(f"wrote {ip} ({size} images)")
     _write_manifest(_manifest("synth", args, [], {"total": round(time.time() - t0, 3)}),
@@ -381,8 +367,7 @@ def cmd_bench(args) -> int:
     t0 = time.time()
     splits = {}
     for split, size in (("train", args.train), ("test", args.test), ("val", args.val)):
-        ip = os.path.join(args.data_dir, f"basic-{split}-images.idx")
-        lp = os.path.join(args.data_dir, f"basic-{split}-labels.idx")
+        ip, lp = _idx_pair(os.path.join(args.data_dir, f"basic-{split}"))
         if not os.path.exists(ip):
             raise FileNotFoundError(
                 f"{ip} not found; run `reckernel synth --out-dir {args.data_dir}` first")
@@ -461,109 +446,104 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> tuple:
+    """The top-level parser and its sub-parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="reckernel",
         description="recursive kernel learning of norm-bounded networks")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     def sub(name, func, **kwargs):
-        s = _Sub(subs.add_parser(name, **kwargs))
-        s.parser.set_defaults(func=func)
-        registry[name] = s
+        s = subs.add_parser(name, **kwargs)
+        s.set_defaults(func=func)
+        s.add_argument("--config", default=None,
+                       help="key = value file presetting these options")
         return s
 
     s = sub("bound", cmd_bound, help="capacity value F(k, L) for an activation")
-    s.add("--activation", required=True)
-    s.add("--k", type=int, required=True)
-    s.add("--L", type=float, required=True)
-    s.add("--tol", type=float, default=1e-12)
+    s.add_argument("--activation", required=True)
+    s.add_argument("--k", type=int, required=True)
+    s.add_argument("--L", type=float, required=True)
+    s.add_argument("--tol", type=float, default=1e-12)
 
     s = sub("gram", cmd_gram, help="export a kernel Gram matrix as binary")
-    s.add("--data", default=None, help="IDX pair prefix (PREFIX-images.idx / PREFIX-labels.idx)")
-    s.add("--images", default=None)
-    s.add("--labels", default=None)
-    s.add("--preprocess", type=_steps_list, default=("normalize",))
-    s.add("--k", type=int, default=1)
-    s.add("--limit", type=int, default=None)
-    s.add("--out", required=True)
+    _add_idx_options(s)
+    s.add_argument("--preprocess", type=_steps_list, default=("normalize",))
+    s.add_argument("--k", type=int, default=1)
+    s.add_argument("--limit", type=int, default=None)
+    s.add_argument("--out", required=True)
 
     s = sub("train", cmd_train, help="train a one-vs-all kernel model")
-    s.add("--data", default=None, help="IDX pair prefix (PREFIX-images.idx / PREFIX-labels.idx)")
-    s.add("--images", default=None)
-    s.add("--labels", default=None)
-    s.add("--classes", type=int, default=None,
-          help="number of classes (default: infer from the labels)")
-    s.add("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
-    s.add("--k", type=int, default=1)
-    s.add("--B", type=float, default=100.0)
-    s.add("--loss", default="hinge")
-    s.add("--max-iters", type=int, default=5000)
-    s.add("--eta0", type=float, default=None)
-    s.add("--tol", type=float, default=1e-6)
-    s.add("--limit", type=int, default=None)
-    s.add("--out-model", required=True)
-    s.add("--from-manifest", default=None,
-          help="replay the configuration stored in a manifest file")
+    _add_idx_options(s)
+    s.add_argument("--classes", type=int, default=None,
+                   help="number of classes (default: infer from the labels)")
+    s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
+    s.add_argument("--k", type=int, default=1)
+    s.add_argument("--B", type=float, default=100.0)
+    s.add_argument("--loss", default="hinge")
+    s.add_argument("--max-iters", type=int, default=5000)
+    s.add_argument("--eta0", type=float, default=None)
+    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--limit", type=int, default=None)
+    s.add_argument("--out-model", required=True)
+    s.add_argument("--from-manifest", default=None,
+                   help="replay the configuration stored in a manifest file")
 
     s = sub("eval", cmd_eval, help="evaluate a model on an IDX dataset")
-    s.add("--model", required=True)
-    s.add("--data", default=None, help="IDX pair prefix (PREFIX-images.idx / PREFIX-labels.idx)")
-    s.add("--images", default=None)
-    s.add("--labels", default=None)
-    s.add("--out", default=None)
+    s.add_argument("--model", required=True)
+    _add_idx_options(s)
+    s.add_argument("--out", default=None)
 
     s = sub("variants", cmd_variants, help="write a perturbed copy of a dataset")
-    s.add("--data", default=None, help="IDX pair prefix (PREFIX-images.idx / PREFIX-labels.idx)")
-    s.add("--images", default=None)
-    s.add("--labels", default=None)
-    s.add("--kind", choices=VARIANT_KINDS, required=True)
-    s.add("--seed", type=int, default=0)
-    s.add("--out-images", required=True)
-    s.add("--out-labels", required=True)
+    _add_idx_options(s)
+    s.add_argument("--kind", choices=VARIANT_KINDS, required=True)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out-images", required=True)
+    s.add_argument("--out-labels", required=True)
 
     s = sub("hardness-demo", cmd_hardness_demo,
             help="halfspace-intersection encoding with brute-forced margins")
-    s.add("--d", type=int, required=True)
-    s.add("--T", type=int, required=True)
-    s.add("--budget", type=int, default=16)
-    s.add("--activation", default="shifted_erf")
-    s.add("--margin-param", type=float, default=None)
-    s.add("--seed", type=int, default=0)
-    s.add("--out-net", default=None)
+    s.add_argument("--d", type=int, required=True)
+    s.add_argument("--T", type=int, required=True)
+    s.add_argument("--budget", type=int, default=16)
+    s.add_argument("--activation", default="shifted_erf")
+    s.add_argument("--margin-param", type=float, default=None)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out-net", default=None)
 
     s = sub("synth", cmd_synth, help="generate the procedural digit corpus")
-    s.add("--out-dir", required=True)
-    s.add("--train", type=int, default=2000)
-    s.add("--val", type=int, default=500)
-    s.add("--test", type=int, default=2000)
-    s.add("--seed", type=int, default=7)
+    s.add_argument("--out-dir", required=True)
+    s.add_argument("--train", type=int, default=2000)
+    s.add_argument("--val", type=int, default=500)
+    s.add_argument("--test", type=int, default=2000)
+    s.add_argument("--seed", type=int, default=7)
 
     s = sub("bench", cmd_bench, help="desk-scale benchmark table")
-    s.add("--data-dir", default=os.environ.get("RECKERNEL_DATA_DIR"))
-    s.add("--variants", type=_str_list, default=("basic", "rotation"))
-    s.add("--train", type=int, default=2000)
-    s.add("--val", type=int, default=500)
-    s.add("--test", type=int, default=2000)
-    s.add("--ks", type=_int_list, default=(1, 4))
-    s.add("--B", type=float, default=100.0)
-    s.add("--loss", default="hinge")
-    s.add("--max-iters", type=int, default=5000)
-    s.add("--baseline-iters", type=int, default=400)
-    s.add("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
-    s.add("--seed", type=int, default=0)
-    s.add("--out-dir", default="results")
+    s.add_argument("--data-dir", default=os.environ.get("RECKERNEL_DATA_DIR"))
+    s.add_argument("--variants", type=_steps_list, default=("basic", "rotation"))
+    s.add_argument("--train", type=int, default=2000)
+    s.add_argument("--val", type=int, default=500)
+    s.add_argument("--test", type=int, default=2000)
+    s.add_argument("--ks", type=_int_list, default=(1, 4))
+    s.add_argument("--B", type=float, default=100.0)
+    s.add_argument("--loss", default="hinge")
+    s.add_argument("--max-iters", type=int, default=5000)
+    s.add_argument("--baseline-iters", type=int, default=400)
+    s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out-dir", default="results")
 
-    return parser, registry
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    s = registry[args.command]
     # specific families first: several of these are ValueError subclasses
     try:
-        _apply_config(args, s.defaults, s.types)
+        # presets become defaults: argparse converts string defaults with each
+        # option's type, and a flag on the command line still wins
+        subparsers[args.command].set_defaults(**_presets(args))
+        args = parser.parse_args(argv)
         return args.func(args)
     except DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -113,19 +113,20 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(net: NeuralNet, L: float) -> ValidationReport:
-    """List every (layer, row) whose norm exceeds the budget L.
+def _row_norms(p: int, W: np.ndarray) -> tuple[str, np.ndarray]:
+    """The norm rule of layer p and its rows' norms: l2 for layer 0, l1 above
+    (the output row included)."""
+    if p == 0:
+        return "l2", np.linalg.norm(W, axis=1)
+    return "l1", np.abs(W).sum(axis=1)
 
-    Layer 0 rows are measured in l2, all deeper layers (output included) in l1.
-    """
+
+def validate(net: NeuralNet, L: float) -> ValidationReport:
+    """List every (layer, row) whose norm exceeds the budget L under
+    :func:`_row_norms`."""
     violations = []
     for p, W in enumerate(net.weights):
-        if p == 0:
-            norms = np.linalg.norm(W, axis=1)
-            kind = "l2"
-        else:
-            norms = np.abs(W).sum(axis=1)
-            kind = "l1"
+        kind, norms = _row_norms(p, W)
         for i, nv in enumerate(norms):
             if nv > L * (1.0 + 1e-12):
                 violations.append(NormViolation(p, i, kind, float(nv), L))
@@ -134,11 +135,7 @@ def validate(net: NeuralNet, L: float) -> ValidationReport:
 
 def required_budget(net: NeuralNet) -> float:
     """Smallest L for which validate(net, L) passes."""
-    worst = 0.0
-    for p, W in enumerate(net.weights):
-        norms = np.linalg.norm(W, axis=1) if p == 0 else np.abs(W).sum(axis=1)
-        worst = max(worst, float(norms.max()))
-    return worst
+    return max(float(_row_norms(p, W)[1].max()) for p, W in enumerate(net.weights))
 
 
 def random_net(k: int, widths, L: float, activation: Activation, seed: int) -> NeuralNet:
@@ -157,7 +154,7 @@ def random_net(k: int, widths, L: float, activation: Activation, seed: int) -> N
     dims = widths + [1]
     for p in range(k + 1):
         W = rng.uniform(-1.0, 1.0, size=(dims[p + 1], dims[p]))
-        norms = np.linalg.norm(W, axis=1) if p == 0 else np.abs(W).sum(axis=1)
+        norms = _row_norms(p, W)[1]
         norms = np.where(norms == 0, 1.0, norms)
         targets = L * rng.uniform(0.5, 1.0, size=W.shape[0])
         W = W * (targets / norms)[:, None]
@@ -292,7 +289,11 @@ def extend_input(x) -> np.ndarray:
 
 def _saturation(act: Activation, v: float) -> float:
     """Transfer used by the construction: the activation itself for
-    sigmoid-like shapes, the unit difference for relu-like ones."""
+    sigmoid-like shapes, the unit difference for relu-like ones.  Polynomial
+    activations do not saturate and raise ConstructionError."""
+    if act.kind == "polynomial":
+        raise ConstructionError(
+            f"activation {act.name!r} does not saturate; need sigmoid-like or relu-like")
     if act.kind == "relu_like":
         return act.evaluate(v) - act.evaluate(v - 1.0)
     return act.evaluate(v)
@@ -306,9 +307,6 @@ def select_margin_param(act: Activation, T: int, slack: Optional[float] = None) 
     checks sit strictly inside the saturated region.  Default slack 1/(8T)
     halves the 1/(4T) requirement, buying margin for the constant neuron.
     """
-    if act.kind == "polynomial":
-        raise ConstructionError(
-            f"activation {act.name!r} does not saturate; need sigmoid-like or relu-like")
     s = slack if slack is not None else 1.0 / (8.0 * T)
 
     def ok(v: float) -> bool:
@@ -349,10 +347,6 @@ def build_hardness_net(hs: HalfspaceFamily, activation: Activation,
     """
     lam = float(margin_param)
     T, d = hs.T, hs.dim
-    if activation.kind == "polynomial":
-        raise ConstructionError(
-            f"activation {activation.name!r} does not saturate; "
-            "need sigmoid-like or relu-like")
     hi_val = _saturation(activation, lam)
     lo_val = _saturation(activation, -lam)
     if hi_val < 1.0 - 1.0 / (4.0 * T) or lo_val > 1.0 / (4.0 * T):

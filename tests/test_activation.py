@@ -316,6 +316,16 @@ def test_taylor_range_error_outside_convergence_radius():
         taylor_value(geometric, 1.5)
 
 
+@pytest.mark.parametrize("act", [QUAD, ERF, SH], ids=lambda a: a.name)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_series_rejects_non_finite_points(act, x):
+    # smoothed_hinge used to return 0.0 at NaN, and quadratic NaN at NaN or inf
+    with pytest.raises(ActivationRangeError, match="non-finite point"):
+        taylor_value(act, x)
+    with pytest.raises(ActivationRangeError, match="non-finite point"):
+        _series_values(act, [0.5, x])
+
+
 def test_wide_grid_within_window_is_fine():
     report = check_shape(ERF, [float(x) for x in range(-10, 11)])
     assert report.ok

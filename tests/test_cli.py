@@ -289,3 +289,67 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     rc = main(["bound", "--activation", "quadratic", "--k", "1", "--L", "1",
                "--config", str(cfg)])
     assert rc == 2
+
+
+def _train_then_manifest(tmp_path, *extra):
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    m1 = tmp_path / "m1.json"
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "7", "--max-iters", "150", *extra, "--out-model", str(m1)]) == 0
+    return ip, lp, str(m1) + ".manifest.json"
+
+
+def test_explicit_flag_at_its_default_beats_config(tmp_path, capsys):
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("k = 4\n")
+    model = tmp_path / "m.json"
+    # --k 1 is also the parser default, but it was typed, so it wins
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "5", "--max-iters", "50", "--k", "1", "--config", str(cfg),
+                 "--out-model", str(model)]) == 0
+    assert json.loads(model.read_text())["depth"] == 1
+    # without the flag the config file presets the depth
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "5", "--max-iters", "50", "--config", str(cfg),
+                 "--out-model", str(model)]) == 0
+    assert json.loads(model.read_text())["depth"] == 4
+
+
+def test_explicit_flag_beats_from_manifest(tmp_path, capsys):
+    ip, lp, manifest = _train_then_manifest(tmp_path, "--k", "2")
+    model = tmp_path / "m2.json"
+    assert main(["train", "--images", ip, "--labels", lp, "--k", "3",
+                 "--from-manifest", manifest, "--out-model", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    # the flag sets the depth; everything else is replayed
+    assert payload["depth"] == 3 and payload["B"] == 7.0
+    recorded = json.loads((tmp_path / "m2.json.manifest.json").read_text())["config"]
+    assert recorded["k"] == 3 and recorded["max_iters"] == 150
+
+
+@pytest.mark.parametrize("manifest_in_config", [False, True])
+def test_config_beats_from_manifest(tmp_path, capsys, manifest_in_config):
+    ip, lp, manifest = _train_then_manifest(tmp_path, "--k", "2")
+    cfg = tmp_path / "conf.txt"
+    model = tmp_path / "m2.json"
+    if manifest_in_config:
+        cfg.write_text(f"from_manifest = {manifest}\nB = 9\n")
+        replay = []
+    else:
+        cfg.write_text("B = 9\n")
+        replay = ["--from-manifest", manifest]
+    assert main(["train", "--images", ip, "--labels", lp, "--config", str(cfg),
+                 *replay, "--out-model", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    assert payload["B"] == 9.0 and payload["depth"] == 2
+
+
+def test_data_flag_against_a_manifest_with_images_and_labels_exits_2(tmp_path, capsys):
+    _, _, manifest = _train_then_manifest(tmp_path)
+    capsys.readouterr()
+    rc = main(["train", "--data", str(tmp_path / "toy"), "--from-manifest", manifest,
+               "--out-model", str(tmp_path / "m2.json")])
+    assert rc == 2
+    assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "m2.json").exists()
