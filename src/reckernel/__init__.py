@@ -14,8 +14,6 @@ from .activation import (  # noqa: F401
 from .kernel import (  # noqa: F401
     GramMatrix,
     KernelStack,
-    TruncatedFeatureMap,
-    feature_map,
     gram,
     kernel_eval,
 )

@@ -47,8 +47,13 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+
+class ManifestFormatError(ValueError):
+    """A ``--from-manifest`` file is not a manifest with a ``config`` object."""
+
+
 USAGE_ERRORS = (UnknownActivationError, DegenerateClassError, ValueError)
-DATA_ERRORS = (IdxFormatError, GramFormatError, FileNotFoundError)
+DATA_ERRORS = (IdxFormatError, GramFormatError, ManifestFormatError, FileNotFoundError)
 NUMERIC_ERRORS = (SeriesDivergenceError, ActivationRangeError,
                   SolverDivergenceError, NumericalError, ConstructionError,
                   NormBoundError, OverflowError)
@@ -111,8 +116,14 @@ def _presets(args: argparse.Namespace) -> dict:
     manifest = getattr(args, "from_manifest", None) or config.get("from_manifest")
     if not manifest:
         return config
-    with open(manifest) as f:
-        stored = json.load(f)["config"]
+    try:
+        with open(manifest) as f:
+            stored = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ManifestFormatError(f"{manifest}: not a JSON manifest: {e}") from None
+    stored = stored.get("config") if isinstance(stored, dict) else None
+    if not isinstance(stored, dict):
+        raise ManifestFormatError(f"{manifest}: no \"config\" object to replay")
     # the output path stays with the current invocation
     replay = {k: tuple(v) if isinstance(v, list) else v for k, v in stored.items()
               if k in options and k not in ("from_manifest", "out_model")}

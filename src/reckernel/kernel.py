@@ -1,12 +1,11 @@
-"""Unit-ball kernel recursion, Gram construction, and the truncated feature map.
+"""Unit-ball kernel recursion and Gram construction.
 
 The depth-p kernel is defined on the closed unit ball by
 
     K0(x, y) = <x, y>        Kp(x, y) = 1 / (2 - K(p-1)(x, y))
 
 Each level corresponds to re-embedding through the product feature map whose
-(k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; the
-truncated version of that map serves as a correctness oracle for depth 1.
+(k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ GRAM_MAGIC = b"RKGM"
 
 class NormBoundError(ValueError):
     """An input vector violates the unit-ball precondition."""
-
-
-class FeatureMapCapacityError(ValueError):
-    """Requested truncated feature map has too many coordinates."""
 
 
 class GramFormatError(ValueError):
@@ -130,55 +125,6 @@ def gram(stack: KernelStack, X) -> GramMatrix:
     K = kernel_matrix(stack.depth, X)
     K.setflags(write=False)
     return GramMatrix(entries=K, depth=stack.depth)
-
-
-@dataclass(frozen=True)
-class TruncatedFeatureMap:
-    """Explicit product feature map truncated at tuple length ``max_degree``.
-
-    Coordinates are indexed by tuples (k_1, ..., k_j) with j <= max_degree and
-    each k_i in range(base_dim); the canonical order is lexicographic by
-    (j, k_1, ..., k_j).  Total coordinate count is sum_j base_dim^j, guarded
-    by ``coord_cap``.  This is a test oracle, not a training path.
-    """
-
-    base_dim: int
-    max_degree: int
-    coord_cap: int = 1_000_000
-
-    def __post_init__(self):
-        if self.base_dim < 1 or self.max_degree < 0:
-            raise ValueError("base_dim must be >= 1 and max_degree >= 0")
-        if self.n_coords > self.coord_cap:
-            raise FeatureMapCapacityError(
-                f"feature map needs {self.n_coords} coordinates, "
-                f"above the cap of {self.coord_cap}")
-
-    @property
-    def n_coords(self) -> int:
-        d, J = self.base_dim, self.max_degree
-        return J + 1 if d == 1 else (d ** (J + 1) - 1) // (d - 1)
-
-    def level_offset(self, j: int) -> int:
-        """Index of the first coordinate of tuple length j."""
-        d = self.base_dim
-        return j if d == 1 else (d ** j - 1) // (d - 1)
-
-
-def feature_map(fm: TruncatedFeatureMap, x) -> np.ndarray:
-    """All truncated coordinates of x, in the canonical tuple order."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != fm.base_dim:
-        raise ValueError(f"expected a vector of dimension {fm.base_dim}, got shape {x.shape}")
-    _check_rows(x[None, :], "x")
-    blocks = []
-    level = np.ones(1)
-    for j in range(fm.max_degree + 1):
-        blocks.append(2.0 ** (-(j + 1) / 2.0) * level)
-        if j < fm.max_degree:
-            # appending one index varies fastest, preserving lexicographic order
-            level = np.multiply.outer(level, x).ravel()
-    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

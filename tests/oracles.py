@@ -1,0 +1,79 @@
+"""Test oracles kept out of the library: the explicit truncated feature map of
+the depth-1 kernel, and the dense form of an embedded quadratic network in it.
+
+The depth-1 kernel re-embeds through the product feature map whose
+(k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
+it at a tuple length gives an explicit, independent route to kernel values.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from reckernel.kernel import _check_rows
+
+
+class FeatureMapCapacityError(ValueError):
+    """Requested truncated feature map has too many coordinates."""
+
+
+@dataclass(frozen=True)
+class TruncatedFeatureMap:
+    """Explicit product feature map truncated at tuple length ``max_degree``.
+
+    Coordinates are indexed by tuples (k_1, ..., k_j) with j <= max_degree and
+    each k_i in range(base_dim); the canonical order is lexicographic by
+    (j, k_1, ..., k_j).  Total coordinate count is sum_j base_dim^j, guarded
+    by ``coord_cap``.
+    """
+
+    base_dim: int
+    max_degree: int
+    coord_cap: int = 1_000_000
+
+    def __post_init__(self):
+        if self.base_dim < 1 or self.max_degree < 0:
+            raise ValueError("base_dim must be >= 1 and max_degree >= 0")
+        if self.n_coords > self.coord_cap:
+            raise FeatureMapCapacityError(
+                f"feature map needs {self.n_coords} coordinates, "
+                f"above the cap of {self.coord_cap}")
+
+    @property
+    def n_coords(self) -> int:
+        d, J = self.base_dim, self.max_degree
+        return J + 1 if d == 1 else (d ** (J + 1) - 1) // (d - 1)
+
+    def level_offset(self, j: int) -> int:
+        """Index of the first coordinate of tuple length j."""
+        d = self.base_dim
+        return j if d == 1 else (d ** j - 1) // (d - 1)
+
+
+def feature_map(fm: TruncatedFeatureMap, x) -> np.ndarray:
+    """All truncated coordinates of x, in the canonical tuple order."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape[0] != fm.base_dim:
+        raise ValueError(f"expected a vector of dimension {fm.base_dim}, got shape {x.shape}")
+    _check_rows(x[None, :], "x")
+    blocks = []
+    level = np.ones(1)
+    for j in range(fm.max_degree + 1):
+        blocks.append(2.0 ** (-(j + 1) / 2.0) * level)
+        if j < fm.max_degree:
+            # appending one index varies fastest, preserving lexicographic order
+            level = np.multiply.outer(level, x).ravel()
+    return np.concatenate(blocks)
+
+
+def to_dense(emb, fm: TruncatedFeatureMap) -> np.ndarray:
+    """Place an EmbeddedFunction's (a, b) coordinates into the truncated map's
+    canonical order."""
+    if fm.max_degree < 2:
+        raise ValueError("feature map must include degree-2 tuples")
+    dense = np.zeros(fm.n_coords)
+    base = fm.level_offset(2)
+    d = fm.base_dim
+    for (a, b), v in emb.coords.items():
+        dense[base + a * d + b] = v
+    return dense

@@ -16,13 +16,14 @@ from reckernel.baseline import LogisticConfig, predict_logistic, train_logistic
 from reckernel.cli import main as cli_main
 from reckernel.data import make_variant, preprocess
 from reckernel.glyphs import make_corpus
-from reckernel.kernel import KernelStack, TruncatedFeatureMap, feature_map, gram, kernel_eval
+from reckernel.kernel import KernelStack, gram, kernel_eval
 from reckernel.network import (brute_force_margins, build_hardness_net,
                                embed_quadratic, forward, random_halfspace_family,
                                random_net, select_margin_param)
 from reckernel.solver import TrainConfig, make_loss, sample_size, train, train_multiclass
 
 from conftest import ellipsoid_oracle, objective_of, random_unit_rows, solver_fixture_set
+from oracles import TruncatedFeatureMap, feature_map
 
 QUAD = builtin_activation("quadratic")
 ERF = builtin_activation("shifted_erf")

@@ -414,3 +414,39 @@ def test_series_values_rebuild_the_table_in_every_call():
     n = len(calls)
     assert _series_values(act, [2.5, 2.5, 2.5]) == once * 3
     assert len(calls) == 2 * n
+
+
+def _shifted_erf_coeff_mp_oracle(j):
+    """beta_j of the shifted erf through mpmath.factorial."""
+    if j == 0:
+        return mpmath.mpf("0.5")
+    if j % 2 == 0:
+        return mpmath.mpf(0)
+    m = (j - 1) // 2
+    val = mpmath.power(mpmath.pi, m) / (mpmath.factorial(m) * (2 * m + 1))
+    return -val if m % 2 else val
+
+
+def _smoothed_hinge_coeff_mp_oracle(j):
+    """beta_j of the smoothed hinge through mpmath.factorial."""
+    if j == 1:
+        return mpmath.mpf("0.5")
+    if j < 2 or j % 2 == 1:
+        return mpmath.mpf(0)
+    m = (j - 2) // 2
+    val = mpmath.power(mpmath.pi, m) / (mpmath.factorial(m) * (2 * m + 1) * (2 * m + 2))
+    return -val if m % 2 else val
+
+
+@pytest.mark.parametrize("act, oracle, digits, table", [
+    (ERF, _shifted_erf_coeff_mp_oracle, 162, 1808),
+    (SH, _smoothed_hinge_coeff_mp_oracle, 189, 2157),
+], ids=["shifted_erf", "smoothed_hinge"])
+def test_coefficient_table_equals_mpmath_factorial_table(act, oracle, digits, table):
+    # the table check_shape builds on the 41-point [-10, 10] grid, at its precision
+    pts = GRID41 if act.kind == "sigmoid_like" else GRID41 + [x - 1.0 for x in GRID41]
+    scans = [_series_scan(act, x) for x in pts if x != 0.0]
+    assert max(max(30, int(peak * LOG10E) + 30) for peak, _ in scans) == digits
+    assert max(cutoff for _, cutoff in scans) + 1 == table
+    with mpmath.workdps(digits):
+        assert [act.coeff_mp_fn(j) for j in range(table)] == [oracle(j) for j in range(table)]

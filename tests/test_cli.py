@@ -140,6 +140,18 @@ def test_train_replays_a_manifest_that_records_a_seed(tmp_path, capsys):
     assert m1.read_bytes() == m2.read_bytes()
 
 
+@pytest.mark.parametrize("text", ["{}", '{"config": 5}', '{"config": {'],
+                         ids=["no-config", "config-not-object", "not-json"])
+def test_train_from_a_malformed_manifest_exits_3(text, tmp_path, capsys):
+    manifest = tmp_path / "m.json.manifest.json"
+    manifest.write_text(text)
+    rc = main(["train", "--from-manifest", str(manifest),
+               "--out-model", str(tmp_path / "o.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(f"data error: {manifest}: ")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_train_squared_loss_overflow_exits_4(tmp_path, capsys):
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     rc = main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",

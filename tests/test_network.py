@@ -1,13 +1,16 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from reckernel import network
 from reckernel.activation import builtin_activation, compute_H
-from reckernel.kernel import TruncatedFeatureMap, feature_map
 from reckernel.network import (
     ConstructionError,
     HalfspaceFamily,
+    MarginReport,
     NetworkStructureError,
     NeuralNet,
     UnsupportedNetworkError,
@@ -25,6 +28,8 @@ from reckernel.network import (
     select_margin_param,
     validate,
 )
+
+from oracles import TruncatedFeatureMap, feature_map, to_dense
 
 QUAD = builtin_activation("quadratic")
 ERF = builtin_activation("shifted_erf")
@@ -163,7 +168,7 @@ def test_embed_dense_pairs_with_feature_map():
     net = random_net(1, [3, 4], 1.0, QUAD, seed=5)
     emb = embed_quadratic(net)
     fm = TruncatedFeatureMap(3, 2)
-    dense = emb.to_dense(fm)
+    dense = to_dense(emb, fm)
     assert np.linalg.norm(dense) == pytest.approx(emb.norm, rel=1e-12)
     for _ in range(10):
         x = rng.normal(size=3)
@@ -266,6 +271,104 @@ def test_margin_param_saturates_both_sides():
             lo = act.evaluate(-lam)
         assert hi >= 1.0 - 1.0 / (4.0 * T)
         assert lo <= 1.0 / (4.0 * T)
+
+
+# ---------------------------------------------------------------------------
+# the batched margin check against the per-input loop it replaced
+# ---------------------------------------------------------------------------
+
+def scalar_margins(net, hs):
+    """One eval_halfspaces and one forward() per input, in product order."""
+    worst, worst_x = math.inf, ()
+    for bits in itertools.product((-1, 1), repeat=hs.dim):
+        x = np.array(bits)
+        margin = eval_halfspaces(hs, x) * forward(net, extend_input(x))
+        if margin < worst:
+            worst, worst_x = margin, bits
+    return MarginReport(min_margin=worst, max_hinge_loss=max(0.0, 1.0 - worst),
+                        n_inputs=2 ** hs.dim, worst_input=worst_x)
+
+
+def _hardness_case(act, d, T, seed):
+    hs = random_halfspace_family(d, T, 12, seed)
+    return build_hardness_net(hs, act, select_margin_param(act, T)), hs
+
+
+def _random_case(act, d, seed):
+    # two hidden layers, so every layer of the batched loop runs
+    hs = random_halfspace_family(d, 2, 10, seed)
+    return random_net(2, [d + 1, 5, 4], 2.0, act, seed), hs
+
+
+def _non_finite_case(hidden_row, const_weight):
+    # one hidden row and the constant neuron's output weight replaced
+    net, hs = _hardness_case(ERF, 6, 2, 12)
+    W0, W1 = net.weights[0].copy(), net.weights[1].copy()
+    W0[0] = hidden_row
+    W1[0, -1] = const_weight
+    return NeuralNet(weights=(W0, W1), activation=ERF), hs
+
+
+MARGIN_CASES = {
+    "erf-d5": lambda: _hardness_case(ERF, 5, 1, 0),
+    "erf-d8": lambda: _hardness_case(ERF, 8, 3, 1),
+    "erf-d11": lambda: _hardness_case(ERF, 11, 2, 2),  # two blocks
+    "erf-d12": lambda: _hardness_case(ERF, 12, 3, 3),  # four blocks
+    "hinge-d6": lambda: _hardness_case(SH, 6, 2, 4),
+    "hinge-d9": lambda: _hardness_case(SH, 9, 3, 5),
+    "hinge-d11": lambda: _hardness_case(SH, 11, 1, 6),
+    "random-k2-erf-d7": lambda: _random_case(ERF, 7, 7),
+    "random-k2-erf-d11": lambda: _random_case(ERF, 11, 8),
+    "random-k2-hinge-d7": lambda: _random_case(SH, 7, 9),
+    "random-k2-hinge-d10": lambda: _random_case(SH, 10, 10),
+    "random-k2-quad-d8": lambda: _random_case(QUAD, 8, 11),
+    # margins of -inf and +inf
+    "infinite-output": lambda: _non_finite_case(np.ones(7), math.inf),
+    # inf - inf: nan margins wherever x[0] == x[1]
+    "nan-on-half": lambda: _non_finite_case([math.inf, -math.inf, 0, 0, 0, 0, 0], -10.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(MARGIN_CASES))
+def test_margins_equal_the_scalar_oracle(case):
+    net, hs = MARGIN_CASES[case]()
+    assert brute_force_margins(net, hs) == scalar_margins(net, hs)
+
+
+def test_margin_tie_goes_to_the_first_input_in_product_order(monkeypatch):
+    # d = 3 puts every extended coordinate at +-1/2, so pre-activations are
+    # exact multiples of the margin parameter and depend on x only through
+    # sum(x): the three inputs with sum(x) = 1 tie exactly in forward()
+    hs = HalfspaceFamily(np.array([[1, 1, 1]]), np.array([0]), budget=4)
+    net = build_hardness_net(hs, ERF, select_margin_param(ERF, 1))
+    tied = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+    scalar = [eval_halfspaces(hs, np.array(x)) * forward(net, extend_input(np.array(x)))
+              for x in tied]
+    assert scalar[0] == scalar[1] == scalar[2]
+    assert scalar_margins(net, hs).worst_input == tied[0]
+
+    real = network._hypercube_margins
+
+    def last_tie_lowest(net, hs):
+        # a rounding difference like those of the matrix products, well
+        # inside the window, in favour of the last tied input (index 6)
+        m = real(net, hs)
+        m[6] -= 1e-12
+        return m
+
+    monkeypatch.setattr(network, "_hypercube_margins", last_tie_lowest)
+    assert int(np.argmin(network._hypercube_margins(net, hs))) == 6
+    report = brute_force_margins(net, hs)
+    assert report.worst_input == tied[0]
+    assert report == scalar_margins(net, hs)
+
+
+def test_margins_reject_a_dimension_mismatch():
+    hs = random_halfspace_family(5, 2, 8, 0)
+    net = random_net(1, [5, 3], 1.0, ERF, 0)  # needs 6 inputs: 5 bits and the constant
+    with pytest.raises(NetworkStructureError, match="extended 5-bit inputs"):
+        brute_force_margins(net, hs)
 
 
 # ---------------------------------------------------------------------------
