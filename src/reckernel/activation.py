@@ -14,7 +14,7 @@ capacity arithmetic runs in the log domain (:class:`LogValue`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -62,43 +62,50 @@ class ActivationRangeError(ArithmeticError):
 # log-domain nonnegative reals
 # ---------------------------------------------------------------------------
 
+def _logaddexp(a: float, b: float) -> float:
+    """``ln(e^a + e^b)``, where a log of -inf stands for zero."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    if lo == -math.inf or hi == math.inf:
+        return hi
+    return hi + math.log1p(math.exp(lo - hi))
+
+
 @dataclass(frozen=True, order=False)
 class LogValue:
-    """A nonnegative real carried as its natural log.
+    """A nonnegative real carried as its natural log; zero is a log of -inf.
 
     Needed because capacity values overflow floats already at two composition
     levels for saturating activations.  Addition and multiplication are exact
     to relative error <= 1e-12 per operation (they reduce to log-sum-exp and
-    log addition on IEEE doubles).
+    log addition on IEEE doubles).  A NaN log is refused.
     """
 
     log_magnitude: float
-    is_zero: bool = False
+
+    def __post_init__(self):
+        if math.isnan(self.log_magnitude):
+            raise ValueError("LogValue cannot hold NaN")
 
     @staticmethod
     def zero() -> "LogValue":
-        return LogValue(float("-inf"), True)
+        return LogValue(-math.inf)
 
     @staticmethod
     def from_float(x: float) -> "LogValue":
-        if x < 0:
+        if not x >= 0:
             raise ValueError(f"LogValue holds nonnegative reals, got {x}")
-        if x == 0:
-            return LogValue.zero()
-        return LogValue(math.log(x))
+        return LogValue(math.log(x) if x else -math.inf)
 
     @staticmethod
     def from_log(log_magnitude: float) -> "LogValue":
         return LogValue(float(log_magnitude))
 
+    @property
+    def is_zero(self) -> bool:
+        return self.log_magnitude == -math.inf
+
     def add(self, other: "LogValue") -> "LogValue":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        a, b = self.log_magnitude, other.log_magnitude
-        hi, lo = (a, b) if a >= b else (b, a)
-        return LogValue(hi + math.log1p(math.exp(lo - hi)))
+        return LogValue(_logaddexp(self.log_magnitude, other.log_magnitude))
 
     def mul(self, other: "LogValue") -> "LogValue":
         if self.is_zero or other.is_zero:
@@ -106,33 +113,23 @@ class LogValue:
         return LogValue(self.log_magnitude + other.log_magnitude)
 
     def sqrt(self) -> "LogValue":
-        if self.is_zero:
-            return self
         return LogValue(0.5 * self.log_magnitude)
 
     def to_float(self) -> float:
-        if self.is_zero:
-            return 0.0
         try:
             return math.exp(self.log_magnitude)
         except OverflowError:
-            return float("inf")
+            return math.inf
 
     @property
     def log10(self) -> float:
-        if self.is_zero:
-            return float("-inf")
         return self.log_magnitude * LOG10E
 
     def __le__(self, other: "LogValue") -> bool:
-        if self.is_zero:
-            return True
-        if other.is_zero:
-            return False
         return self.log_magnitude <= other.log_magnitude
 
     def __lt__(self, other: "LogValue") -> bool:
-        return self <= other and not (other <= self)
+        return self.log_magnitude < other.log_magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +140,24 @@ class LogValue:
 class Activation:
     """A named activation defined by its power-series coefficients.
 
-    ``coeff_fn(j)`` returns ``beta_j`` as a double; ``log_abs_coeff_fn(j)``
-    returns ``ln |beta_j|`` (or ``None`` for an exactly-zero coefficient) and
-    must stay accurate for indices where ``beta_j`` itself underflows.
-    ``coeff_mp_fn``, when given, produces ``beta_j`` at the current mpmath
-    precision and enables high-accuracy point evaluation of the series.
-    ``closed_form`` is an exact evaluator used for forward propagation.
-    Coefficient queries are pure, so repeated calls are bit-identical.
+    Each coefficient ``beta_j`` of ``sigma(x) = sum_j beta_j x^j`` comes in
+    two forms with different jobs.  ``log_abs_coeff_fn(j)`` returns
+    ``ln |beta_j|`` as a double (or ``None`` for an exactly-zero coefficient)
+    and stays accurate where ``beta_j`` itself underflows; it drives the
+    capacity sums and the scans that size a series evaluation.
+    ``coeff_mp_fn(j)`` returns ``beta_j`` at the current mpmath precision and
+    feeds the extended-precision sums of :func:`taylor_value`.
+    ``closed_form`` is an exact evaluator used for forward propagation.  All
+    three are required.  Coefficient queries are pure, so repeated calls are
+    bit-identical.
     """
 
     name: str
     kind: str
-    coeff_fn: Callable[[int], float]
     log_abs_coeff_fn: Callable[[int], Optional[float]]
+    coeff_mp_fn: Callable[[int], "mpmath.mpf"]
+    closed_form: Callable[[float], float]
     max_degree: Optional[int] = None
-    coeff_mp_fn: Optional[Callable[[int], "mpmath.mpf"]] = field(default=None, repr=False)
-    closed_form: Optional[Callable[[float], float]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -167,11 +166,12 @@ class Activation:
             raise ValueError("polynomial activations must declare max_degree")
 
     def coeff(self, j: int) -> float:
+        """beta_j: the mpmath coefficient rounded to a double."""
         if j < 0:
             raise ValueError("coefficient index must be nonnegative")
         if self.max_degree is not None and j > self.max_degree:
             return 0.0
-        return self.coeff_fn(j)
+        return float(self.coeff_mp_fn(j))
 
     def log_abs_coeff(self, j: int) -> Optional[float]:
         """ln |beta_j|, or None when beta_j is exactly zero."""
@@ -180,10 +180,8 @@ class Activation:
         return self.log_abs_coeff_fn(j)
 
     def evaluate(self, x: float) -> float:
-        """Pointwise value, via the closed form when available."""
-        if self.closed_form is not None:
-            return self.closed_form(float(x))
-        return taylor_value(self, float(x))
+        """Pointwise value through the closed form."""
+        return self.closed_form(float(x))
 
 
 def _quadratic_closed(x: float) -> float:
@@ -198,17 +196,6 @@ def _smoothed_hinge_closed(x: float) -> float:
     # antiderivative of the shifted erf, anchored so that the value at 0 is 0
     # (matching the series, which carries no constant term)
     return _shifted_erf_closed(x) * x + (math.exp(-math.pi * x * x) - 1.0) / (2.0 * math.pi)
-
-
-def _shifted_erf_coeff(j: int) -> float:
-    if j == 0:
-        return 0.5
-    if j % 2 == 0:
-        return 0.0
-    m = (j - 1) // 2
-    sign = -1.0 if m % 2 else 1.0
-    la = _shifted_erf_log_abs(j)
-    return sign * math.exp(la) if la > -745 else sign * 0.0
 
 
 def _shifted_erf_log_abs(j: int) -> Optional[float]:
@@ -231,17 +218,6 @@ def _shifted_erf_coeff_mp(j: int):
     # of the shape check's [-10, 10] grid
     val = mpmath.power(mpmath.pi, m) / (mpmath.mpf(math.factorial(m)) * (2 * m + 1))
     return -val if m % 2 else val
-
-
-def _smoothed_hinge_coeff(j: int) -> float:
-    if j == 1:
-        return 0.5
-    if j < 2 or j % 2 == 1:
-        return 0.0
-    m = (j - 2) // 2
-    sign = -1.0 if m % 2 else 1.0
-    la = _smoothed_hinge_log_abs(j)
-    return sign * math.exp(la) if la > -745 else sign * 0.0
 
 
 def _smoothed_hinge_log_abs(j: int) -> Optional[float]:
@@ -276,17 +252,15 @@ def builtin_activation(name: str) -> Activation:
         return Activation(
             name="quadratic",
             kind="polynomial",
-            coeff_fn=lambda j: 1.0 if j == 2 else 0.0,
             log_abs_coeff_fn=lambda j: 0.0 if j == 2 else None,
-            max_degree=2,
             coeff_mp_fn=lambda j: mpmath.mpf(1 if j == 2 else 0),
             closed_form=_quadratic_closed,
+            max_degree=2,
         )
     if name == "shifted_erf":
         return Activation(
             name="shifted_erf",
             kind="sigmoid_like",
-            coeff_fn=_shifted_erf_coeff,
             log_abs_coeff_fn=_shifted_erf_log_abs,
             coeff_mp_fn=_shifted_erf_coeff_mp,
             closed_form=_shifted_erf_closed,
@@ -295,7 +269,6 @@ def builtin_activation(name: str) -> Activation:
         return Activation(
             name="smoothed_hinge",
             kind="relu_like",
-            coeff_fn=_smoothed_hinge_coeff,
             log_abs_coeff_fn=_smoothed_hinge_log_abs,
             coeff_mp_fn=_smoothed_hinge_coeff_mp,
             closed_form=_smoothed_hinge_closed,
@@ -335,61 +308,42 @@ def _h_series_log(act: Activation, log_lam: LogValue, tol: float,
     contribute less than ``tol`` relative to the running sum; exceeding
     TERM_CAP without that happening raises SeriesDivergenceError.
     """
-    lam_zero = log_lam.is_zero
     loglam = log_lam.log_magnitude
 
-    def term(j: int) -> Optional[float]:
+    def term(j: int) -> float:
         lb = act.log_abs_coeff(j)
         if lb is None:
-            return None
+            return -math.inf
         if j == 0:
             return LN2 + 2.0 * lb
-        if lam_zero:
-            return None
         return (j + 1) * LN2 + 2.0 * lb + (2.0 * j) * loglam
 
-    total: Optional[float] = None
-    terms_used = 0
-
-    def accumulate(t: Optional[float]):
-        nonlocal total, terms_used
-        terms_used += 1
-        if t is None:
-            return
-        if total is None:
-            total = t
-        else:
-            hi, lo = (total, t) if total >= t else (t, total)
-            total = hi + math.log1p(math.exp(lo - hi))
-
+    total = -math.inf
     if act.max_degree is not None:
         for j in range(act.max_degree + 1):
-            accumulate(term(j))
-        return (float("-inf") if total is None else total), terms_used
+            total = _logaddexp(total, term(j))
+        return total, act.max_degree + 1
 
     small_run = 0
     for j in range(TERM_CAP + 1):
         t = term(j)
-        accumulate(t)
-        if t is None or (total is not None and t - total < math.log(tol)):
+        total = _logaddexp(total, t)
+        if t == -math.inf or t - total < math.log(tol):
             small_run += 1
             if small_run >= CONVERGENCE_RUN and j >= CONVERGENCE_RUN:
-                return (float("-inf") if total is None else total), terms_used
+                return total, j + 1
         else:
             small_run = 0
-    partial = LogValue.zero() if total is None else LogValue.from_log(total)
     raise SeriesDivergenceError(
         f"capacity series for {act.name!r} did not converge within "
         f"{TERM_CAP} terms" + (f" at composition level {level}" if level else ""),
-        partial=partial, terms_used=terms_used, level=level)
+        partial=LogValue(total), terms_used=TERM_CAP + 1, level=level)
 
 
 def _h_log(act: Activation, L: float, log_lam: LogValue, tol: float,
            level: Optional[int] = None) -> tuple[LogValue, int]:
     log_sum, used = _h_series_log(act, log_lam, tol, level=level)
-    if log_sum == float("-inf"):
-        return LogValue.zero(), used
-    return LogValue.from_log(math.log(L) + 0.5 * log_sum), used
+    return LogValue(math.log(L) + 0.5 * log_sum), used
 
 
 def compute_H(act: Activation, L: float, lam: float, tol: float = 1e-12) -> LogValue:
@@ -453,10 +407,10 @@ def _series_scan(act: Activation, x: float) -> tuple[float, int]:
             t = float("-inf")
         else:
             t = lb + j * log_ax if j > 0 else lb
+            # at x = 0 the terms past j = 0 vanish but still count as small
+            seen_nonzero = True
         if t > peak:
             peak = t
-        if t > float("-inf"):
-            seen_nonzero = True
         if seen_nonzero:
             # e^-55 ~ 1e-24: far below double precision on O(1) values
             if t < -55.0:
@@ -475,11 +429,11 @@ def _series_scan(act: Activation, x: float) -> tuple[float, int]:
 def taylor_value(act: Activation, x: float) -> float:
     """Evaluate ``sum_j beta_j x^j`` by truncated summation.
 
-    Alternating series cancel catastrophically in double precision, so the sum
-    runs at an mpmath precision adapted to the predicted peak term.  Requires
-    the activation to supply precision-aware coefficients; without them the
-    sum falls back to doubles and refuses points where cancellation would
-    destroy the result.
+    The float log-coefficients size the sum: they predict the peak term and
+    the truncation index.  Alternating series cancel catastrophically in
+    double precision, so the sum itself runs over ``coeff_mp_fn`` at an
+    mpmath precision adapted to that peak.  Polynomials are summed exactly
+    over their finite support.
     """
     return _series_values(act, [x])[0]
 
@@ -497,25 +451,16 @@ def _series_values(act: Activation, xs: Sequence[float]) -> list[float]:
                 for x in xs]
     values, plans = {}, {}  # plans: x -> (digits, cutoff) of an mpmath sum
     for x in dict.fromkeys(xs):
-        if x == 0.0:
-            values[x] = act.coeff(0)
-            continue
         peak, cutoff = _series_scan(act, x)
         if peak == float("-inf"):
             values[x] = 0.0
-        elif act.coeff_mp_fn is None:
-            if peak * LOG10E > 8.0:  # double-precision terms keep ~16 digits
-                raise ActivationRangeError(
-                    f"evaluating {act.name!r} at x={x!r} needs extended precision "
-                    "but the activation does not provide precision-aware coefficients")
-            values[x] = math.fsum(act.coeff(j) * x ** j for j in range(cutoff + 1))
-        else:
-            digits = max(30, int(peak * LOG10E) + 30)
-            if digits > MAX_EVAL_DIGITS:
-                raise ActivationRangeError(
-                    f"evaluating {act.name!r} at x={x!r} needs ~{digits} digits, "
-                    f"above the {MAX_EVAL_DIGITS}-digit cap")
-            plans[x] = (digits, cutoff)
+            continue
+        digits = max(30, int(peak * LOG10E) + 30)
+        if digits > MAX_EVAL_DIGITS:
+            raise ActivationRangeError(
+                f"evaluating {act.name!r} at x={x!r} needs ~{digits} digits, "
+                f"above the {MAX_EVAL_DIGITS}-digit cap")
+        plans[x] = (digits, cutoff)
     if plans:
         with mpmath.workdps(max(d for d, _ in plans.values())):
             coeffs = [act.coeff_mp_fn(j) for j in range(max(c for _, c in plans.values()) + 1)]

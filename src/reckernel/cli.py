@@ -71,8 +71,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, args: argparse.Namespace, inputs: list,
+def _sha256s(paths) -> dict:
+    return {str(p): _sha256(p) for p in paths}
+
+
+def _manifest(command: str, args: argparse.Namespace, inputs: dict,
               timings: dict) -> dict:
+    """``inputs`` maps each input path to its SHA-256 (see :func:`_sha256s`)."""
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func", "config")}
     return {
@@ -80,7 +85,7 @@ def _manifest(command: str, args: argparse.Namespace, inputs: list,
         "config": cfg,
         "seed": cfg.get("seed"),
         "version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "timings_s": timings,
     }
 
@@ -176,7 +181,7 @@ def _usable_rows(fds):
     return np.setdiff1d(np.arange(fds.n), np.array(fds.flagged_rows, dtype=int))
 
 
-def _model_payload(pred: OneVsAllPredictor, images, labels, rows, steps) -> dict:
+def _model_payload(pred: OneVsAllPredictor, images, labels, hashes, rows, steps) -> dict:
     return {
         "format": "reckernel-model-v1",
         "depth": pred.depth,
@@ -186,7 +191,9 @@ def _model_payload(pred: OneVsAllPredictor, images, labels, rows, steps) -> dict
         "alphas": [a.tolist() for a in pred.alphas],
         "support": {
             "images": str(images),
+            "images_sha256": hashes[str(images)],
             "labels": str(labels),
+            "labels_sha256": hashes[str(labels)],
             "rows": [int(r) for r in rows],
             "preprocessing": list(steps),
         },
@@ -199,6 +206,15 @@ def _load_model(path) -> tuple:
     if payload.get("format") != "reckernel-model-v1":
         raise IdxFormatError(f"{path}: not a reckernel model file")
     sup = payload["support"]
+    # the support set is part of the model: refuse it if it changed on disk
+    for kind in ("images", "labels"):
+        recorded = sup.get(f"{kind}_sha256")
+        if recorded is None:
+            raise IdxFormatError(f"{sup[kind]}: the model records no SHA-256 for its "
+                                 f"support {kind}")
+        if _sha256(sup[kind]) != recorded:
+            raise IdxFormatError(f"{sup[kind]}: SHA-256 differs from the one recorded "
+                                 f"in {path}; the support {kind} changed since training")
     ds = read_idx(sup["images"], sup["labels"])
     fds = preprocess(ds, tuple(sup["preprocessing"]))
     X = fds.X[np.array(sup["rows"], dtype=int)]
@@ -241,7 +257,7 @@ def cmd_gram(args) -> int:
     G = gram(KernelStack(args.k), fds.X)
     write_gram(G, args.out)
     timings = {"total": round(time.time() - t0, 3)}
-    _write_manifest(_manifest("gram", args, [images, labels], timings), args.out)
+    _write_manifest(_manifest("gram", args, _sha256s([images, labels]), timings), args.out)
     print(f"wrote {args.out}: n={G.n} depth={G.depth}")
     return EXIT_OK
 
@@ -250,6 +266,7 @@ def cmd_train(args) -> int:
     t0 = time.time()
     images, labels = _resolve_idx_pair(args)
     _, fds = _load_features(images, labels, tuple(args.preprocess), args.limit)
+    hashes = _sha256s([images, labels])
     rows = _usable_rows(fds)
     if len(rows) < fds.n:
         print(f"dropping {fds.n - len(rows)} zero-norm rows", file=sys.stderr)
@@ -269,7 +286,7 @@ def cmd_train(args) -> int:
     t2 = time.time()
     train_err = float((pred.classify_many(X) != y).mean())
 
-    payload = _model_payload(pred, images, labels, rows, args.preprocess)
+    payload = _model_payload(pred, images, labels, hashes, rows, args.preprocess)
     with open(args.out_model, "w") as f:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")
@@ -286,7 +303,7 @@ def cmd_train(args) -> int:
         f.write(f"final_train_error,,,{train_err!r}\n")
     timings = {"load": round(t1 - t0, 3), "train": round(t2 - t1, 3),
                "total": round(time.time() - t0, 3)}
-    manifest = _manifest("train", args, [images, labels], timings)
+    manifest = _manifest("train", args, hashes, timings)
     manifest["solve"] = [{"class": c, **r} for c, r in enumerate(reports)]
     _write_manifest(manifest, args.out_model)
     print(f"trained {len(pred.classes)} classes on {len(rows)} points: "
@@ -330,7 +347,7 @@ def cmd_variants(args) -> int:
     ds = read_idx(images, labels)
     out = make_variant(ds, args.kind, args.seed)
     write_idx(out, args.out_images, args.out_labels)
-    _write_manifest(_manifest("variants", args, [images, labels], {}),
+    _write_manifest(_manifest("variants", args, _sha256s([images, labels]), {}),
                     args.out_images)
     print(f"wrote {args.out_images} / {args.out_labels} ({args.kind}, n={out.n})")
     return EXIT_OK
@@ -366,7 +383,7 @@ def cmd_synth(args) -> int:
         ip, lp = _idx_pair(os.path.join(args.out_dir, f"basic-{split}"))
         write_idx(ds, ip, lp)
         print(f"wrote {ip} ({size} images)")
-    _write_manifest(_manifest("synth", args, [], {"total": round(time.time() - t0, 3)}),
+    _write_manifest(_manifest("synth", args, {}, {"total": round(time.time() - t0, 3)}),
                     os.path.join(args.out_dir, "basic"))
     return EXIT_OK
 
@@ -446,7 +463,7 @@ def cmd_bench(args) -> int:
         f.write("method,variant,test_error,runtime_s\n")
         for (m, v), err in sorted(rows.items()):
             f.write(f"\"{m}\",{v},{err!r},{timings[(m, v)]:.3f}\n")
-    _write_manifest(_manifest("bench", args, [], {"total": round(time.time() - t0, 3)}),
+    _write_manifest(_manifest("bench", args, {}, {"total": round(time.time() - t0, 3)}),
                     os.path.join(args.out_dir, "bench"))
     print(f"table: {md_path}  csv: {csv_path}  total {time.time() - t0:.1f}s")
     return EXIT_OK

@@ -51,9 +51,15 @@ class NeuralNet:
                 "a network needs at least one hidden layer "
                 "(two weight matrices: hidden and output)")
         mats = tuple(np.asarray(W, dtype=float) for W in self.weights)
-        for W in mats:
+        for p, W in enumerate(mats):
             if W.ndim != 2:
                 raise NetworkStructureError(f"weight matrix has shape {W.shape}, expected 2-d")
+            bad = np.argwhere(~np.isfinite(W))
+            if bad.size:
+                i, j = bad[0]
+                raise NetworkStructureError(
+                    f"layer {p} weight at row {i}, column {j} is {W[i, j]}; "
+                    "weights must be finite")
             W.setflags(write=False)
         for p in range(len(mats) - 1):
             if mats[p + 1].shape[1] != mats[p].shape[0]:
@@ -122,6 +128,8 @@ def _row_norms(p: int, W: np.ndarray) -> tuple[str, np.ndarray]:
 def validate(net: NeuralNet, L: float) -> ValidationReport:
     """List every (layer, row) whose norm exceeds the budget L under
     :func:`_row_norms`."""
+    if math.isnan(L):
+        raise ValueError("budget must be a number, got nan")
     violations = []
     for p, W in enumerate(net.weights):
         kind, norms = _row_norms(p, W)
@@ -367,12 +375,16 @@ def build_hardness_net(hs: HalfspaceFamily, activation: Activation,
             rows.append(shifted)
             out.append(-weight)
 
-    for t in range(T):
-        base = np.append(hs.weights[t].astype(float), -(hs.offsets[t] + 0.5))
-        emit(2.0 * lam * root * base, 4.0)
-    emit(np.append(np.zeros(d), const_scale * root), -(4.0 * T - 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for t in range(T):
+            base = np.append(hs.weights[t].astype(float), -(hs.offsets[t] + 0.5))
+            emit(2.0 * lam * root * base, 4.0)
+        emit(np.append(np.zeros(d), const_scale * root), -(4.0 * T - 2.0))
 
     W0 = np.stack(rows)
+    if not np.all(np.isfinite(W0)):
+        raise OverflowError(
+            f"margin parameter {lam:g} overflows the first-layer weights")
     W1 = np.array([out])
     return NeuralNet(weights=(W0, W1), activation=activation)
 
@@ -430,7 +442,8 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
     can share the least margin; ``worst_input`` is the first one, in
     ``itertools.product((-1, 1), repeat=d)`` order, whose margin as computed
     by :func:`eval_halfspaces` and :func:`forward` is least, and
-    ``min_margin`` is that scalar margin.
+    ``min_margin`` is that scalar margin.  A NaN margin, which finite weights
+    reach only through overflow, raises OverflowError.
     """
     d = hs.dim
     if d > 20:
@@ -440,6 +453,12 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
             f"network expects inputs of dimension {net.input_dim}, "
             f"extended {d}-bit inputs have dimension {d + 1}")
     margins = _hypercube_margins(net, hs)
+    nan = np.flatnonzero(np.isnan(margins))
+    if nan.size:
+        x = tuple(_hypercube_points(nan[:1], d)[0].tolist())
+        raise OverflowError(
+            f"the network's output at input {x} is NaN ({nan.size} inputs): "
+            "its arithmetic overflows")
     # Matrix products sum in a different order than forward()'s per-input
     # ones, so batched and scalar margins differ in the last bits: by up to
     # 3.6e-15 on d = 14 shifted-erf hardness nets and 6.6e-14 on
@@ -447,7 +466,7 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
     # scalar margin is the least lies within twice that gap of the batched
     # minimum, so the window must exceed twice the gap; at 1e-9 it does by
     # far, and the scalar re-scoring below decides the result exactly.
-    lo = float(np.fmin.reduce(margins))
+    lo = float(margins.min())
     near = (margins <= lo + MARGIN_WINDOW * max(1.0, abs(lo)) if math.isfinite(lo)
             else margins == lo)
     worst = math.inf

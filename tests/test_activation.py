@@ -65,6 +65,21 @@ def test_coefficients_are_deterministic():
             assert act.coeff(j) == act.coeff(j)
 
 
+@pytest.mark.parametrize("act, table", [(ERF, 1808), (SH, 2157)], ids=["shifted_erf", "smoothed_hinge"])
+def test_log_and_mpmath_coefficients_agree(act, table):
+    # every index of the table check_shape builds on the benchmark grid
+    for j in range(table):
+        exact = act.coeff_mp_fn(j)
+        assert act.coeff(j) == float(exact)
+        la = act.log_abs_coeff(j)
+        assert (la is None) == (exact == 0), j
+        if la is not None:
+            with mpmath.workdps(30):
+                ref = float(mpmath.log(abs(act.coeff_mp_fn(j))))
+            # the logs reach about -5000, where doubles are 9.1e-13 apart
+            assert abs(la - ref) <= 1e-12 * max(1.0, abs(ref)), j
+
+
 def test_unknown_activation_lists_supported():
     with pytest.raises(UnknownActivationError, match="quadratic.*shifted_erf.*smoothed_hinge"):
         builtin_activation("relu")
@@ -108,6 +123,19 @@ def test_logvalue_zero_behavior():
         LogValue.from_float(-1.0)
 
 
+def test_logvalue_has_one_zero_and_refuses_nan():
+    z = LogValue.from_log(-math.inf)
+    assert z == LogValue.zero() == LogValue.from_float(0.0)
+    assert z.is_zero
+    assert z.add(z) == LogValue.zero()
+    inf = LogValue.from_log(math.inf)
+    assert inf.add(inf) == inf and inf.mul(z) == z
+    with pytest.raises(ValueError):
+        LogValue.from_float(math.nan)
+    with pytest.raises(ValueError):
+        LogValue.from_log(math.nan)
+
+
 def test_logvalue_survives_doubly_exponential_range():
     huge = LogValue.from_log(1e60)
     assert huge.mul(huge).log_magnitude == 2e60
@@ -125,7 +153,8 @@ def test_h_quadratic_single_term():
 
 
 def test_h_all_zero_series_is_zero():
-    zero = Activation("null", "sigmoid_like", lambda j: 0.0, lambda j: None)
+    zero = Activation("null", "sigmoid_like", lambda j: None,
+                      lambda j: mpmath.mpf(0), lambda x: 0.0)
     assert compute_H(zero, 1.0, 5.0).is_zero
     assert compute_H(zero, 3.0, 0.0).is_zero
 
@@ -175,7 +204,8 @@ def test_h_closed_form_bounds(lam):
 
 
 def test_h_divergence_carries_partial_sum():
-    ones = Activation("ones", "sigmoid_like", lambda j: 1.0, lambda j: 0.0)
+    ones = Activation("ones", "sigmoid_like", lambda j: 0.0,
+                      lambda j: mpmath.mpf(1), lambda x: 1.0 / (1.0 - x))
     with pytest.raises(SeriesDivergenceError) as exc:
         compute_H(ones, 1.0, 1.0)
     assert exc.value.terms_used == 10001
@@ -310,8 +340,8 @@ def test_shape_rejects_non_finite_grid_points(grid):
 
 
 def test_taylor_range_error_outside_convergence_radius():
-    geometric = Activation("geometric", "sigmoid_like",
-                           lambda j: 1.0, lambda j: 0.0)
+    geometric = Activation("geometric", "sigmoid_like", lambda j: 0.0,
+                           lambda j: mpmath.mpf(1), lambda x: 1.0 / (1.0 - x))
     with pytest.raises(ActivationRangeError):
         taylor_value(geometric, 1.5)
 

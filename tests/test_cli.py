@@ -224,6 +224,39 @@ def test_eval_out_of_range_label_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _toy_model(tmp_path):
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    model = tmp_path / "m.json"
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "1", "--max-iters", "50", "--out-model", str(model)]) == 0
+    return ip, lp, model
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
+def test_eval_refuses_a_changed_support_set(which, tmp_path, capsys):
+    ip, lp, model = _toy_model(tmp_path)
+    path = (ip, lp)[which]
+    raw = bytearray(open(path, "rb").read())
+    raw[-1] ^= 1  # one pixel or one label, still a valid IDX file
+    open(path, "wb").write(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--images", ip, "--labels", lp]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: SHA-256 differs")
+
+
+def test_eval_refuses_a_model_without_support_hashes(tmp_path, capsys):
+    ip, lp, model = _toy_model(tmp_path)
+    payload = json.loads(model.read_text())
+    assert json.loads((tmp_path / "m.json.manifest.json").read_text())["inputs"] == {
+        ip: payload["support"]["images_sha256"], lp: payload["support"]["labels_sha256"]}
+    del payload["support"]["labels_sha256"]
+    model.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--images", ip, "--labels", lp]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {lp}: the model records no SHA-256")
+
+
 def test_missing_file_exits_3(tmp_path, capsys):
     rc = main(["eval", "--model", str(tmp_path / "nope.json"),
                "--images", "x", "--labels", "y"])
@@ -240,6 +273,16 @@ def test_hardness_demo_output(tmp_path, capsys):
     from reckernel.network import net_from_json
     net = net_from_json((tmp_path / "net.json").read_text())
     assert net.input_dim == 7
+
+
+def test_hardness_demo_overflowing_margin_param_exits_4(capsys):
+    # it used to print weight_budget=nan and min margin = inf, and exit 0
+    rc = main(["hardness-demo", "--d", "6", "--T", "2", "--seed", "1",
+               "--margin-param", "1e308"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: margin parameter 1e+308 overflows")
 
 
 def test_variants_command_round_trip(tmp_path, capsys):

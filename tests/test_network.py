@@ -89,6 +89,22 @@ def test_output_must_be_single_row():
         tiny_net([[1.0]], [[1.0], [2.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_net_rejects_non_finite_weights(bad):
+    with pytest.raises(NetworkStructureError, match=r"layer 1 weight at row 0, column 2 is"):
+        tiny_net([[1.0, 0.0, 0.0]], [[1.0, 2.0, bad]])
+    payload = json.loads(net_to_json(random_net(1, [2, 3], 1.0, ERF, 0)))
+    payload["weights"][0][4] = bad  # json writes these as NaN / Infinity
+    with pytest.raises(NetworkStructureError, match="layer 0 weight at row 2, column 0"):
+        net_from_json(json.dumps(payload))
+
+
+def test_validate_rejects_a_nan_budget():
+    # every norm comparison with NaN is false, so it used to pass any net
+    with pytest.raises(ValueError, match="nan"):
+        validate(tiny_net([[3.0, 4.0]], [[2.0]]), math.nan)
+
+
 def test_required_budget_is_tight():
     net = tiny_net([[3.0, 4.0]], [[2.0]])
     L = required_budget(net)
@@ -300,13 +316,14 @@ def _random_case(act, d, seed):
     return random_net(2, [d + 1, 5, 4], 2.0, act, seed), hs
 
 
-def _non_finite_case(hidden_row, const_weight):
-    # one hidden row and the constant neuron's output weight replaced
+def _overflow_case():
+    # finite output weights of 1e308: every hidden value lies in (0, 1) and
+    # either sums to at most 1.125 or to at least 1.875 (the neurons are
+    # saturated), so the positive terms overflow to +inf in any summation
+    # order exactly where both paths see a sum of at least 1.875e308
     net, hs = _hardness_case(ERF, 6, 2, 12)
-    W0, W1 = net.weights[0].copy(), net.weights[1].copy()
-    W0[0] = hidden_row
-    W1[0, -1] = const_weight
-    return NeuralNet(weights=(W0, W1), activation=ERF), hs
+    W1 = np.full_like(net.weights[1], 1e308)
+    return NeuralNet(weights=(net.weights[0], W1), activation=ERF), hs
 
 
 MARGIN_CASES = {
@@ -322,14 +339,12 @@ MARGIN_CASES = {
     "random-k2-hinge-d7": lambda: _random_case(SH, 7, 9),
     "random-k2-hinge-d10": lambda: _random_case(SH, 10, 10),
     "random-k2-quad-d8": lambda: _random_case(QUAD, 8, 11),
-    # margins of -inf and +inf
-    "infinite-output": lambda: _non_finite_case(np.ones(7), math.inf),
-    # inf - inf: nan margins wherever x[0] == x[1]
-    "nan-on-half": lambda: _non_finite_case([math.inf, -math.inf, 0, 0, 0, 0, 0], -10.0),
+    # margins of -inf and +inf from finite weights
+    "overflow-output": _overflow_case,
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(MARGIN_CASES))
 def test_margins_equal_the_scalar_oracle(case):
     net, hs = MARGIN_CASES[case]()
@@ -362,6 +377,36 @@ def test_margin_tie_goes_to_the_first_input_in_product_order(monkeypatch):
     report = brute_force_margins(net, hs)
     assert report.worst_input == tied[0]
     assert report == scalar_margins(net, hs)
+
+
+def test_margins_raise_on_a_nan_margin(monkeypatch):
+    net, hs = _hardness_case(ERF, 5, 1, 0)
+    real = network._hypercube_margins
+
+    def nan_at_9(net, hs):
+        m = real(net, hs)
+        m[9] = math.nan
+        return m
+
+    monkeypatch.setattr(network, "_hypercube_margins", nan_at_9)
+    with pytest.raises(OverflowError, match=r"input \(-1, 1, -1, -1, 1\) is NaN \(1 inputs\)"):
+        brute_force_margins(net, hs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_margins_raise_when_finite_weights_overflow_to_nan():
+    # two equal neurons overflow to +inf, so the output is inf - inf
+    hs = random_halfspace_family(6, 2, 12, 0)
+    net = NeuralNet(weights=(np.full((2, 7), 1e308), np.array([[1.0, -1.0]])), activation=QUAD)
+    assert math.isnan(forward(net, extend_input(np.ones(6))))
+    with pytest.raises(OverflowError, match="is NaN"):
+        brute_force_margins(net, hs)
+
+
+def test_hardness_net_rejects_an_overflowing_margin_param():
+    hs = random_halfspace_family(6, 2, 16, 1)
+    with pytest.raises(OverflowError, match="overflows the first-layer weights"):
+        build_hardness_net(hs, ERF, 1e308)
 
 
 def test_margins_reject_a_dimension_mismatch():
