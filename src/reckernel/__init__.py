@@ -24,6 +24,7 @@ from .network import (  # noqa: F401
     embed_quadratic,
     eval_halfspaces,
     forward,
+    forward_many,
     random_net,
     validate,
 )

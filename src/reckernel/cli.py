@@ -356,7 +356,8 @@ def cmd_variants(args) -> int:
 def cmd_hardness_demo(args) -> int:
     act = builtin_activation(args.activation)
     hs = random_halfspace_family(args.d, args.T, args.budget, args.seed)
-    lam = args.margin_param if args.margin_param else select_margin_param(act, args.T)
+    lam = (args.margin_param if args.margin_param is not None
+           else select_margin_param(act, args.T))
     net = build_hardness_net(hs, act, lam)
     budget = required_budget(net)
     ok = validate(net, budget).ok

@@ -86,16 +86,24 @@ class NeuralNet:
         return (self.input_dim,) + tuple(W.shape[0] for W in self.weights[:-1])
 
 
+def forward_many(net: NeuralNet, X) -> np.ndarray:
+    """The network's output for each row of X, with the activation's scalar
+    ``evaluate`` applied elementwise.  Neurons sum elementwise products along
+    the last axis, in an order set by the row length alone, so each output
+    equals the row's evaluated alone bit for bit (BLAS products do not)."""
+    Y = np.asarray(X, dtype=float)
+    if Y.shape[1:] != (net.input_dim,):  # also refuses X that is not 2-d
+        raise NetworkStructureError(
+            f"input rows have shape {Y.shape[1:]}, network expects ({net.input_dim},)")
+    act = np.frompyfunc(net.activation.evaluate, 1, 1)
+    for W in net.weights[:-1]:
+        Y = act((Y[:, None, :] * W).sum(axis=2)).astype(float)
+    return (Y * net.weights[-1][0]).sum(axis=1)
+
+
 def forward(net: NeuralNet, x) -> float:
     """Propagate x through the network and return the scalar output."""
-    y = np.asarray(x, dtype=float)
-    if y.shape != (net.input_dim,):
-        raise NetworkStructureError(
-            f"input has shape {y.shape}, network expects ({net.input_dim},)")
-    act = net.activation.evaluate
-    for W in net.weights[:-1]:
-        y = np.array([act(v) for v in W @ y])
-    return float(net.weights[-1][0] @ y)
+    return float(forward_many(net, np.asarray(x, dtype=float)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -120,9 +128,13 @@ class ValidationReport:
 def _row_norms(p: int, W: np.ndarray) -> tuple[str, np.ndarray]:
     """The norm rule of layer p and its rows' norms: l2 for layer 0, l1 above
     (the output row included)."""
-    if p == 0:
-        return "l2", np.linalg.norm(W, axis=1)
-    return "l1", np.abs(W).sum(axis=1)
+    with np.errstate(over="ignore"):  # a norm past the largest double reads inf
+        if p == 0:
+            # scaling a row by a power of two near its largest entry is exact
+            # and keeps the squares finite, so the norm overflows only if it must
+            e = np.frexp(np.abs(W).max(axis=1, initial=0.0))[1]
+            return "l2", np.ldexp(np.linalg.norm(np.ldexp(W, -e[:, None]), axis=1), e)
+        return "l1", np.abs(W).sum(axis=1)
 
 
 def validate(net: NeuralNet, L: float) -> ValidationReport:
@@ -140,8 +152,14 @@ def validate(net: NeuralNet, L: float) -> ValidationReport:
 
 
 def required_budget(net: NeuralNet) -> float:
-    """Smallest L for which validate(net, L) passes."""
-    return max(float(_row_norms(p, W)[1].max()) for p, W in enumerate(net.weights))
+    """Smallest L for which validate(net, L) passes.  Raises OverflowError,
+    naming the layer and row, when a row's norm exceeds the largest double."""
+    norms = [_row_norms(p, W) for p, W in enumerate(net.weights)]
+    for p, (kind, nv) in enumerate(norms):
+        if np.isinf(nv).any():  # argmax finds the first inf
+            raise OverflowError(f"layer {p} row {np.argmax(nv)} has an {kind} norm "
+                                "above the largest double")
+    return max(float(nv.max()) for _, nv in norms)
 
 
 def random_net(k: int, widths, L: float, activation: Activation, seed: int) -> NeuralNet:
@@ -251,6 +269,8 @@ class HalfspaceFamily:
 
 def random_halfspace_family(d: int, T: int, budget: int, seed: int) -> HalfspaceFamily:
     """Rejection-sample integer halfspaces within the l1 budget."""
+    if d < 1 or T < 1:
+        raise ValueError(f"need d >= 1 and T >= 1 halfspaces, got d={d}, T={T}")
     rng = np.random.default_rng(seed)
     rows, offs = [], []
     attempts = 0
@@ -344,7 +364,8 @@ def build_hardness_net(hs: HalfspaceFamily, activation: Activation,
     T, d = hs.T, hs.dim
     hi_val = _saturation(activation, lam)
     lo_val = _saturation(activation, -lam)
-    if hi_val < 1.0 - 1.0 / (4.0 * T) or lo_val > 1.0 / (4.0 * T):
+    # negated so that a NaN margin parameter fails too
+    if not (hi_val >= 1.0 - 1.0 / (4.0 * T) and lo_val <= 1.0 / (4.0 * T)):
         raise ConstructionError(
             f"margin parameter {lam:g} does not saturate {activation.name!r}: "
             f"transfer(+{lam:g}) = {hi_val:.6g} (need >= {1 - 1 / (4 * T):.6g}), "
@@ -399,9 +420,6 @@ class MarginReport:
 
 #: hypercube inputs per block of the batched margin evaluation
 MARGIN_BLOCK = 1024
-#: inputs whose batched margin lies within this much (relative to
-#: max(1, |batched minimum|)) of the batched minimum are re-scored by forward()
-MARGIN_WINDOW = 1e-9
 
 
 def _hypercube_points(idx: np.ndarray, d: int) -> np.ndarray:
@@ -413,13 +431,10 @@ def _hypercube_points(idx: np.ndarray, d: int) -> np.ndarray:
 def _hypercube_margins(net: NeuralNet, hs: HalfspaceFamily) -> np.ndarray:
     """``label * net(extended x)`` for every x in {-1,1}^d, in
     ``itertools.product((-1, 1), repeat=d)`` order, evaluated a block of
-    MARGIN_BLOCK inputs at a time: one integer product for the labels, one
-    matrix product per layer, and the activation's scalar ``evaluate``
-    elementwise, so each neuron value comes from the same closed form as in
-    :func:`forward`."""
+    MARGIN_BLOCK inputs at a time: one integer product for the labels and one
+    :func:`forward_many` call, so each margin equals the scalar one."""
     d = hs.dim
     n = 2 ** d
-    act = np.frompyfunc(net.activation.evaluate, 1, 1)
     root = math.sqrt(d + 1.0)
     margins = np.empty(n)
     for start in range(0, n, MARGIN_BLOCK):
@@ -428,9 +443,7 @@ def _hypercube_margins(net: NeuralNet, hs: HalfspaceFamily) -> np.ndarray:
         g = X @ hs.weights.T - hs.offsets
         labels = np.where(np.all(g >= 1, axis=1), 1.0, -1.0)
         Y = np.hstack((X, np.ones((idx.size, 1)))) / root  # extend_input, row-wise
-        for W in net.weights[:-1]:
-            Y = act(Y @ W.T).astype(float)
-        margins[start:start + idx.size] = labels * (Y @ net.weights[-1][0])
+        margins[start:start + idx.size] = labels * forward_many(net, Y)
     return margins
 
 
@@ -440,10 +453,10 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
     The margin at x is ``label * net(extended x)`` with the label from the
     halfspace intersection; hinge loss is max(0, 1 - margin).  Many inputs
     can share the least margin; ``worst_input`` is the first one, in
-    ``itertools.product((-1, 1), repeat=d)`` order, whose margin as computed
-    by :func:`eval_halfspaces` and :func:`forward` is least, and
-    ``min_margin`` is that scalar margin.  A NaN margin, which finite weights
-    reach only through overflow, raises OverflowError.
+    ``itertools.product((-1, 1), repeat=d)`` order.  Every margin equals
+    ``eval_halfspaces(hs, x) * forward(net, extend_input(x))`` bit for bit.
+    A NaN margin, which finite weights reach only through overflow, raises
+    OverflowError.
     """
     d = hs.dim
     if d > 20:
@@ -459,26 +472,12 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
         raise OverflowError(
             f"the network's output at input {x} is NaN ({nan.size} inputs): "
             "its arithmetic overflows")
-    # Matrix products sum in a different order than forward()'s per-input
-    # ones, so batched and scalar margins differ in the last bits: by up to
-    # 3.6e-15 on d = 14 shifted-erf hardness nets and 6.6e-14 on
-    # smoothed-hinge ones, whose paired neurons cancel.  Every input whose
-    # scalar margin is the least lies within twice that gap of the batched
-    # minimum, so the window must exceed twice the gap; at 1e-9 it does by
-    # far, and the scalar re-scoring below decides the result exactly.
-    lo = float(margins.min())
-    near = (margins <= lo + MARGIN_WINDOW * max(1.0, abs(lo)) if math.isfinite(lo)
-            else margins == lo)
-    worst = math.inf
-    worst_x: tuple[int, ...] = ()
-    for x in _hypercube_points(np.flatnonzero(near), d):
-        margin = eval_halfspaces(hs, x) * forward(net, extend_input(x))
-        if margin < worst:
-            worst, worst_x = margin, tuple(x.tolist())
+    i = int(np.argmin(margins))  # the first least margin
+    worst = float(margins[i])
     return MarginReport(min_margin=worst,
                         max_hinge_loss=max(0.0, 1.0 - worst),
                         n_inputs=2 ** d,
-                        worst_input=worst_x)
+                        worst_input=tuple(_hypercube_points(np.array([i]), d)[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Test oracles kept out of the library: the explicit truncated feature map of
-the depth-1 kernel, and the dense form of an embedded quadratic network in it.
+the depth-1 kernel, the dense form of an embedded quadratic network in it, and
+a network evaluated one neuron at a time.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -77,3 +78,13 @@ def to_dense(emb, fm: TruncatedFeatureMap) -> np.ndarray:
     for (a, b), v in emb.coords.items():
         dense[base + a * d + b] = v
     return dense
+
+
+def forward_loop(net, x) -> float:
+    """The network's output at x, one neuron at a time: a matrix-vector product
+    per layer and the activation's scalar ``evaluate`` on each neuron."""
+    y = np.asarray(x, dtype=float)
+    act = net.activation.evaluate
+    for W in net.weights[:-1]:
+        y = np.array([act(v) for v in W @ y])
+    return float(net.weights[-1][0] @ y)

@@ -285,6 +285,39 @@ def test_hardness_demo_overflowing_margin_param_exits_4(capsys):
     assert captured.err.startswith("numeric failure: margin parameter 1e+308 overflows")
 
 
+def test_hardness_demo_budget_fits_a_double(capsys):
+    # the l2 norms' squares overflow, the norms do not: it used to print
+    # weight_budget=inf budget_valid=True
+    rc = main(["hardness-demo", "--d", "6", "--T", "2", "--seed", "1",
+               "--margin-param", "1e306"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "weight_budget=2.32164e+307 budget_valid=True" in out
+    assert "inf" not in out
+
+
+@pytest.mark.parametrize("margin_param, err", [
+    # the l2 norm itself overflows: it used to print weight_budget=inf and exit 0
+    ("1e307", "numeric failure: layer 0 row 0 has an l2 norm above the largest double"),
+    # an explicit 0 used to be replaced by the automatic value
+    ("0", "numeric failure: margin parameter 0 does not saturate"),
+    # NaN used to pass the saturation check and then overflow the weights
+    ("nan", "numeric failure: margin parameter nan does not saturate"),
+])
+def test_hardness_demo_bad_margin_param_exits_4(capsys, margin_param, err):
+    rc = main(["hardness-demo", "--d", "6", "--T", "2", "--seed", "1",
+               "--margin-param", margin_param])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err)
+
+
+def test_hardness_demo_refuses_zero_halfspaces(capsys):
+    assert main(["hardness-demo", "--d", "6", "--T", "0"]) == 2
+    assert capsys.readouterr().err == "error: need d >= 1 and T >= 1 halfspaces, got d=6, T=0\n"
+
+
 def test_variants_command_round_trip(tmp_path, capsys):
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     oi, ol = tmp_path / "rot-i.idx", tmp_path / "rot-l.idx"

@@ -20,6 +20,7 @@ from reckernel.network import (
     eval_halfspaces,
     extend_input,
     forward,
+    forward_many,
     net_from_json,
     net_to_json,
     random_halfspace_family,
@@ -29,7 +30,7 @@ from reckernel.network import (
     validate,
 )
 
-from oracles import TruncatedFeatureMap, feature_map, to_dense
+from oracles import TruncatedFeatureMap, feature_map, forward_loop, to_dense
 
 QUAD = builtin_activation("quadratic")
 ERF = builtin_activation("shifted_erf")
@@ -63,6 +64,37 @@ def test_forward_shape_mismatch():
     net = tiny_net([[1.0, 0.0]], [[1.0]])
     with pytest.raises(NetworkStructureError):
         forward(net, [0.5])
+    # a width-1 block would otherwise broadcast against the 2-column layer
+    for X in ([[0.5], [0.25]], [0.5, 0.5], [[[0.5, 0.5]]]):
+        with pytest.raises(NetworkStructureError, match="network expects"):
+            forward_many(net, X)
+
+
+@pytest.mark.parametrize("act", [QUAD, ERF, SH], ids=lambda a: a.name)
+@pytest.mark.parametrize("k", [1, 2])
+def test_forward_many_rows_are_independent(act, k):
+    # each row's output is the one-row evaluation, bit for bit, in any block
+    rng = np.random.default_rng(k)
+    net = random_net(k, [9] + [15] * k, 2.0, act, seed=k)
+    X = rng.normal(size=(300, 9))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    full = forward_many(net, X)
+    assert full.shape == (300,)
+    assert all(full[i] == forward(net, x) for i, x in enumerate(X))
+    for lo, hi in ((0, 1), (7, 8), (13, 270), (257, 300)):
+        assert np.array_equal(forward_many(net, X[lo:hi]), full[lo:hi])
+
+
+@pytest.mark.parametrize("act", [QUAD, ERF, SH], ids=lambda a: a.name)
+@pytest.mark.parametrize("k", [1, 2])
+def test_forward_equals_the_per_neuron_loop(act, k):
+    rng = np.random.default_rng(10 + k)
+    for seed in range(5):
+        net = random_net(k, [5] + [6] * k, 2.0, act, seed)
+        for _ in range(20):
+            x = rng.normal(size=5)
+            x /= np.linalg.norm(x)
+            assert forward(net, x) == pytest.approx(forward_loop(net, x), rel=1e-12)
 
 
 def test_validate_l2_first_layer():
@@ -110,6 +142,22 @@ def test_required_budget_is_tight():
     L = required_budget(net)
     assert L == 5.0
     assert validate(net, L).ok
+
+
+def test_l2_norms_do_not_overflow_before_the_result():
+    # the squares overflow, the norm 5e307 does not; it used to read inf
+    net = tiny_net([[1.0, 0.0], [3e307, 4e307]], [[1.0, 1.0]])
+    assert required_budget(net) == 5e307
+    assert validate(net, 5e307).ok
+    assert not validate(net, 4e307).ok
+
+
+def test_required_budget_raises_on_a_norm_past_the_largest_double():
+    net = tiny_net([[1.0, 0.0], [1.5e308, 1.5e308]], [[1.0, 1.0]])
+    with pytest.raises(OverflowError, match="layer 0 row 1 has an l2 norm"):
+        required_budget(net)
+    with pytest.raises(OverflowError, match="layer 1 row 0 has an l1 norm"):
+        required_budget(tiny_net([[1.0], [1.0]], [[1e308, 1e308]]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +261,13 @@ def test_halfspace_budget_enforced():
         HalfspaceFamily(np.array([[5, 5]]), np.array([9]), budget=16)
 
 
+@pytest.mark.parametrize("d, T", [(0, 2), (4, 0), (-1, 1)])
+def test_random_family_refuses_an_empty_family(d, T):
+    # T = 0 used to fail inside HalfspaceFamily: "weights (0,) and offsets (0,)"
+    with pytest.raises(ValueError, match=rf"need d >= 1 and T >= 1 halfspaces, got d={d}, T={T}"):
+        random_halfspace_family(d, T, 8, 0)
+
+
 def test_random_family_within_budget():
     for seed in range(5):
         hs = random_halfspace_family(8, 3, 12, seed)
@@ -266,6 +321,13 @@ def test_hardness_rejects_unsaturated_margin_param():
     hs = HalfspaceFamily(np.array([[1, 1]]), np.array([0]), budget=4)
     with pytest.raises(ConstructionError, match="transfer"):
         build_hardness_net(hs, ERF, 0.05)
+
+
+def test_hardness_rejects_a_nan_margin_param():
+    # every comparison with NaN is false, so it used to pass the check
+    hs = random_halfspace_family(6, 2, 16, 1)
+    with pytest.raises(ConstructionError, match="margin parameter nan does not saturate"):
+        build_hardness_net(hs, ERF, math.nan)
 
 
 def test_hardness_rejects_polynomial_activation():
@@ -351,7 +413,7 @@ def test_margins_equal_the_scalar_oracle(case):
     assert brute_force_margins(net, hs) == scalar_margins(net, hs)
 
 
-def test_margin_tie_goes_to_the_first_input_in_product_order(monkeypatch):
+def test_margin_tie_goes_to_the_first_input_in_product_order():
     # d = 3 puts every extended coordinate at +-1/2, so pre-activations are
     # exact multiples of the margin parameter and depend on x only through
     # sum(x): the three inputs with sum(x) = 1 tie exactly in forward()
@@ -362,21 +424,7 @@ def test_margin_tie_goes_to_the_first_input_in_product_order(monkeypatch):
               for x in tied]
     assert scalar[0] == scalar[1] == scalar[2]
     assert scalar_margins(net, hs).worst_input == tied[0]
-
-    real = network._hypercube_margins
-
-    def last_tie_lowest(net, hs):
-        # a rounding difference like those of the matrix products, well
-        # inside the window, in favour of the last tied input (index 6)
-        m = real(net, hs)
-        m[6] -= 1e-12
-        return m
-
-    monkeypatch.setattr(network, "_hypercube_margins", last_tie_lowest)
-    assert int(np.argmin(network._hypercube_margins(net, hs))) == 6
-    report = brute_force_margins(net, hs)
-    assert report.worst_input == tied[0]
-    assert report == scalar_margins(net, hs)
+    assert brute_force_margins(net, hs).worst_input == tied[0]
 
 
 def test_margins_raise_on_a_nan_margin(monkeypatch):
