@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .kernel import row_norms
+
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
@@ -277,7 +279,9 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
 
     deskew resamples each image; center subtracts the per-image mean pixel;
     normalize scales rows to unit l2 norm.  Zero-norm rows at the normalize
-    step map to zero vectors and are flagged rather than raised.
+    step map to zero vectors and are flagged rather than raised.  The images
+    are copied once and each step overwrites that copy, so memory is the
+    output plus O(ROW_BLOCK x pixels) whatever the row count.
     """
     steps = tuple(steps)
     if not steps:
@@ -288,17 +292,19 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
             raise ValueError(f"unknown preprocessing step {s!r}; "
                              f"supported: {PREPROCESS_STEPS}")
     n, h, w = ds.images.shape
-    X = ds.images.reshape(n, h * w).copy()
+    # the one copy; every step then works in place
+    X = np.array(ds.images, order="C").reshape(n, h * w)
     flagged: tuple[int, ...] = ()
     for s in steps:
         if s == "deskew":
-            X = np.stack([deskew(X[i].reshape(h, w)).ravel() for i in range(n)])
+            for i in range(n):
+                X[i] = deskew(X[i].reshape(h, w)).ravel()
         elif s == "center":
-            X = X - X.mean(axis=1, keepdims=True)
+            X -= X.mean(axis=1, keepdims=True)
         else:
-            norms = np.linalg.norm(X, axis=1)
+            norms = row_norms(X)
             zero = norms < 1e-12
             flagged = tuple(int(i) for i in np.nonzero(zero)[0])
-            X = X / np.where(zero, 1.0, norms)[:, None]
+            X /= np.where(zero, 1.0, norms)[:, None]
     return FeatureDataset(X=X, labels=ds.labels, fingerprint=steps,
                           flagged_rows=flagged)

@@ -41,10 +41,26 @@ class KernelStack:
             raise ValueError("depth must be nonnegative")
 
 
+#: rows per block of :func:`row_norms` and :func:`cross_kernel_blocks`, so
+#: their temporaries are O(ROW_BLOCK x columns) whatever the row count
+ROW_BLOCK = 1024
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X, axis=1)`` of a 2-d X, ROW_BLOCK rows at a time.
+
+    Bit-identical to the one-shot call, because each row's reduction does not
+    depend on its block, without its X-sized ``x*x`` temporary."""
+    out = np.empty(len(X))
+    for i in range(0, len(X), ROW_BLOCK):
+        out[i:i + ROW_BLOCK] = np.linalg.norm(X[i:i + ROW_BLOCK], axis=1)
+    return out
+
+
 def _check_rows(X: np.ndarray, label: str) -> None:
     """Raise NormBoundError for the first row of X outside the unit ball,
     named ``label.format(i)``; a NaN or infinite norm fails too."""
-    norms = np.linalg.norm(X, axis=1)
+    norms = row_norms(X)
     bad = np.flatnonzero(~(norms <= 1.0 + NORM_TOL))
     if bad.size:
         i = int(bad[0])
@@ -54,30 +70,26 @@ def _check_rows(X: np.ndarray, label: str) -> None:
         raise NormBoundError(f"{label.format(i)} has {why}")
 
 
-def kernel_matrix(depth: int, A, B=None, label: str = "row {}") -> np.ndarray:
-    """Depth-``depth`` kernel values between the rows of A and the rows of B,
-    or of A with itself when B is None.
-
-    The rows of A must lie in the unit ball; the first that does not raises
-    NormBoundError naming it ``label.format(i)``.  B is not checked: callers
-    pass rows that already passed (a predictor's support set).  With B None,
-    ``A @ A.T`` is one symmetric rank-k product, so the result is exactly
-    symmetric.  Inner products are clamped to [-1, 1], then the recursion
-    runs in closed form, in place: ``1/(1 - Kp) = p + 1/(1 - t)``, that is
-    ``Kp(t) = 1 - (1-t)/(1 + p(1-t))``, so the cost does not grow with depth.
-    """
+def _operands(depth: int, A, B, label: str) -> tuple:
+    """A with its rows checked, and B unless it is None, as 2-d float arrays
+    of equal width."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     A = np.ascontiguousarray(np.atleast_2d(A), dtype=float)
     _check_rows(A, label)
-    if B is None:
-        K = A @ A.T
-    else:
+    if B is not None:
         B = np.atleast_2d(np.asarray(B, dtype=float))
         if A.shape[1] != B.shape[1]:
             raise ValueError(f"dimension mismatch: inputs have {A.shape[1]} features, "
                              f"support points have {B.shape[1]}")
-        K = A @ B.T
+    return A, B
+
+
+def _recursion(K: np.ndarray, depth: int) -> np.ndarray:
+    """Map inner products to depth-``depth`` kernel values in place and
+    return K.  Inner products are clamped to [-1, 1], then the recursion runs
+    in closed form: ``1/(1 - Kp) = p + 1/(1 - t)``, that is
+    ``Kp(t) = 1 - (1-t)/(1 + p(1-t))``, so the cost does not grow with depth."""
     np.clip(K, -1.0, 1.0, out=K)
     if depth:
         # t = 1 gives 1/0 = inf, and the rest maps it to exactly 1
@@ -88,6 +100,38 @@ def kernel_matrix(depth: int, A, B=None, label: str = "row {}") -> np.ndarray:
             np.reciprocal(K, out=K)
             np.subtract(1.0, K, out=K)
     return K
+
+
+def kernel_matrix(depth: int, A, B=None, label: str = "row {}") -> np.ndarray:
+    """Depth-``depth`` kernel values between the rows of A and the rows of B,
+    or of A with itself when B is None.
+
+    The rows of A must lie in the unit ball; the first that does not raises
+    NormBoundError naming it ``label.format(i)``.  B is not checked: callers
+    pass rows that already passed (a predictor's support set).  With B None,
+    ``A @ A.T`` is one symmetric rank-k product, so the result is exactly
+    symmetric.
+    """
+    A, B = _operands(depth, A, B, label)
+    K = A @ A.T if B is None else A @ B.T
+    return _recursion(K, depth)
+
+
+def cross_kernel_blocks(depth: int, A, B, label: str = "row {}"):
+    """Yield ``(i, K)`` where K is rows ``i .. i + len(K)`` of
+    ``kernel_matrix(depth, A, B, label)``, ROW_BLOCK rows at a time.
+
+    Every row of A is checked before the first block, so an error names the
+    row's index in A.  K is one buffer, overwritten by the next block, so
+    memory is O(ROW_BLOCK x len(B)) whatever the row count of A.  Each block
+    equals the matching rows of the one-shot matrix to rounding: the product
+    of a block may round differently from the same rows of ``A @ B.T``.
+    """
+    A, B = _operands(depth, A, B, label)
+    buf = np.empty((min(len(A), ROW_BLOCK), len(B)))
+    for i in range(0, len(A), ROW_BLOCK):
+        rows = A[i:i + ROW_BLOCK]
+        yield i, _recursion(np.matmul(rows, B.T, out=buf[:len(rows)]), depth)
 
 
 def kernel_eval(stack: KernelStack, x, y) -> float:

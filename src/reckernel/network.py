@@ -455,8 +455,8 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
     can share the least margin; ``worst_input`` is the first one, in
     ``itertools.product((-1, 1), repeat=d)`` order.  Every margin equals
     ``eval_halfspaces(hs, x) * forward(net, extend_input(x))`` bit for bit.
-    A NaN margin, which finite weights reach only through overflow, raises
-    OverflowError.
+    A NaN or infinite margin, which finite weights reach only through
+    overflow, raises OverflowError naming the first such input.
     """
     d = hs.dim
     if d > 20:
@@ -466,11 +466,12 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
             f"network expects inputs of dimension {net.input_dim}, "
             f"extended {d}-bit inputs have dimension {d + 1}")
     margins = _hypercube_margins(net, hs)
-    nan = np.flatnonzero(np.isnan(margins))
-    if nan.size:
-        x = tuple(_hypercube_points(nan[:1], d)[0].tolist())
+    bad = np.flatnonzero(~np.isfinite(margins))
+    if bad.size:
+        x = tuple(_hypercube_points(bad[:1], d)[0].tolist())
+        what = "NaN" if math.isnan(margins[bad[0]]) else "infinite"
         raise OverflowError(
-            f"the network's output at input {x} is NaN ({nan.size} inputs): "
+            f"the network's output at input {x} is {what} ({bad.size} inputs): "
             "its arithmetic overflows")
     i = int(np.argmin(margins))  # the first least margin
     worst = float(margins[i])

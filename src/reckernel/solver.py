@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import KernelStack, gram, kernel_matrix
+from .kernel import KernelStack, cross_kernel_blocks, gram, row_norms
 
 LOSS_KINDS = ("hinge", "logistic", "squared")
 
@@ -155,7 +155,7 @@ def _scale_onto_ball(A: np.ndarray, P: np.ndarray, B: float) -> np.ndarray:
 
 
 def _check_unit_rows(X: np.ndarray):
-    norms = np.linalg.norm(X, axis=1)
+    norms = row_norms(X)
     # negated so that NaN norms fail too
     bad = np.nonzero(~(np.abs(norms - 1.0) <= 1e-6))[0]
     if bad.size:
@@ -238,8 +238,16 @@ class OneVsAllPredictor:
             object.__setattr__(self, name, a)
 
     def scores_many(self, Xe) -> np.ndarray:
-        K = kernel_matrix(self.depth, Xe, self.support, label="evaluation row {}")
-        return K @ self.alphas.T
+        """Scores of each row of Xe, one column per class.  Rows are scored
+        ROW_BLOCK at a time (:func:`~reckernel.kernel.cross_kernel_blocks`),
+        so memory beyond the result is O(ROW_BLOCK x n_support) whatever the
+        row count, and the scores equal the one-shot product to rounding."""
+        Xe = np.atleast_2d(np.asarray(Xe, dtype=float))
+        out = np.empty((len(Xe), len(self.alphas)))
+        for i, K in cross_kernel_blocks(self.depth, Xe, self.support,
+                                        label="evaluation row {}"):
+            np.matmul(K, self.alphas.T, out=out[i:i + len(K)])
+        return out
 
     def scores(self, x) -> np.ndarray:
         return self.scores_many(np.asarray(x, dtype=float)[None, :])[0]

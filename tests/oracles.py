@@ -1,6 +1,7 @@
 """Test oracles kept out of the library: the explicit truncated feature map of
-the depth-1 kernel, the dense form of an embedded quadratic network in it, and
-a network evaluated one neuron at a time.
+the depth-1 kernel, the dense form of an embedded quadratic network in it, a
+network evaluated one neuron at a time, the one-shot (unblocked) cross-kernel
+scores, and preprocessing that copies the features at every step.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reckernel.kernel import _check_rows
+from reckernel.data import FeatureDataset, deskew
+from reckernel.kernel import _check_rows, kernel_matrix
 
 
 class FeatureMapCapacityError(ValueError):
@@ -88,3 +90,28 @@ def forward_loop(net, x) -> float:
     for W in net.weights[:-1]:
         y = np.array([act(v) for v in W @ y])
     return float(net.weights[-1][0] @ y)
+
+
+def scores_unblocked(pred, Xe) -> np.ndarray:
+    """A predictor's scores from the whole m x n cross-kernel at once."""
+    return kernel_matrix(pred.depth, Xe, pred.support, label="evaluation row {}") @ pred.alphas.T
+
+
+def preprocess_out_of_place(ds, steps) -> FeatureDataset:
+    """``data.preprocess`` with a new feature array at every step: a stacked
+    list for deskew, ``X - mean`` and ``X / norms``."""
+    steps = tuple(steps)
+    n, h, w = ds.images.shape
+    X = ds.images.reshape(n, h * w).copy()
+    flagged = ()
+    for s in steps:
+        if s == "deskew":
+            X = np.stack([deskew(X[i].reshape(h, w)).ravel() for i in range(n)])
+        elif s == "center":
+            X = X - X.mean(axis=1, keepdims=True)
+        else:
+            norms = np.linalg.norm(X, axis=1)
+            zero = norms < 1e-12
+            flagged = tuple(int(i) for i in np.nonzero(zero)[0])
+            X = X / np.where(zero, 1.0, norms)[:, None]
+    return FeatureDataset(X=X, labels=ds.labels, fingerprint=steps, flagged_rows=flagged)

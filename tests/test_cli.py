@@ -287,12 +287,12 @@ def test_hardness_demo_overflowing_margin_param_exits_4(capsys):
 
 def test_hardness_demo_budget_fits_a_double(capsys):
     # the l2 norms' squares overflow, the norms do not: it used to print
-    # weight_budget=inf budget_valid=True
+    # weight_budget=inf
     rc = main(["hardness-demo", "--d", "6", "--T", "2", "--seed", "1",
                "--margin-param", "1e306"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "weight_budget=2.32164e+307 budget_valid=True" in out
+    assert "weight_budget=2.32164e+307" in out
     assert "inf" not in out
 
 
@@ -341,6 +341,30 @@ def test_synth_and_bench_smoke(tmp_path, capsys):
     assert "logistic regression" in md
     csv = (results / "bench.csv").read_text()
     assert "recursive kernel (k=1)" in csv
+
+
+def test_bench_manifest_records_what_each_fit_used(tmp_path, capsys):
+    data, results = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", "--out-dir", str(data), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
+                 "--test", "30", "--ks", "1,2", "--variants", "basic,rotation",
+                 "--max-iters", "30", "--baseline-iters", "5", "--out-dir", str(results)]) == 0
+    manifest = json.loads((results / "bench.manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0
+    assert manifest["nproc"] >= 1
+    assert set(manifest["blas"]) == {"name", "version"}
+    runs = manifest["runs"]
+    assert [(r["variant"], r["k"]) for r in runs] == [
+        ("basic", 1), ("basic", 2), ("rotation", 1), ("rotation", 2)]
+    for r in runs:
+        assert set(r["seconds"]) == {"preprocess", "train", "classify"}
+        assert all(v >= 0 for v in r["seconds"].values())
+        assert [s["class"] for s in r["solve"]] == list(range(10))
+        for s in r["solve"]:
+            assert set(s) == {"class", "iterations", "stop_reason", "best_objective",
+                              "constraint_use"}
+            assert 1 <= s["iterations"] <= 30
 
 
 def test_data_prefix_expands_to_idx_pair(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from reckernel.data import (
     shear_coefficient,
     write_idx,
 )
+
+from oracles import preprocess_out_of_place
 
 
 def byte_dataset(n=6, seed=0):
@@ -216,3 +221,35 @@ def test_preprocessed_rows_satisfy_kernel_precondition(small_corpus):
     from reckernel.kernel import KernelStack, gram
     fds = preprocess(small_corpus, ("deskew", "center", "normalize"))
     gram(KernelStack(1), fds.X)  # must not raise
+
+
+STEP_ORDERS = [order for r in (1, 2, 3) for order in itertools.permutations(
+    ("deskew", "center", "normalize"), r)]
+
+
+@pytest.mark.parametrize("steps", STEP_ORDERS, ids=",".join)
+def test_in_place_preprocess_is_bit_identical_to_the_copying_one(small_corpus, steps):
+    images = np.concatenate([small_corpus.images[:20], np.zeros((1, 28, 28)),
+                             np.full((1, 28, 28), 0.25), byte_dataset(4).images])
+    ds = ImageDataset(images, np.arange(len(images)) % 10)
+    before = ds.images.copy()
+    got = preprocess(ds, steps)
+    want = preprocess_out_of_place(ds, steps)
+    assert got.X.tobytes() == want.X.tobytes()
+    assert got.flagged_rows == want.flagged_rows
+    if "normalize" in steps:
+        assert 20 in got.flagged_rows  # the zero image
+    assert np.array_equal(ds.images, before)
+
+
+@pytest.mark.parametrize("steps", [("center", "normalize"), ("deskew", "center", "normalize")])
+def test_preprocess_memory_is_one_copy_of_the_features(steps):
+    ds = byte_dataset(4096, seed=3)
+    tracemalloc.start()
+    try:
+        fds = preprocess(ds, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a step that allocates a new feature array reaches 2x
+    assert peak <= 1.5 * fds.X.nbytes

@@ -378,16 +378,6 @@ def _random_case(act, d, seed):
     return random_net(2, [d + 1, 5, 4], 2.0, act, seed), hs
 
 
-def _overflow_case():
-    # finite output weights of 1e308: every hidden value lies in (0, 1) and
-    # either sums to at most 1.125 or to at least 1.875 (the neurons are
-    # saturated), so the positive terms overflow to +inf in any summation
-    # order exactly where both paths see a sum of at least 1.875e308
-    net, hs = _hardness_case(ERF, 6, 2, 12)
-    W1 = np.full_like(net.weights[1], 1e308)
-    return NeuralNet(weights=(net.weights[0], W1), activation=ERF), hs
-
-
 MARGIN_CASES = {
     "erf-d5": lambda: _hardness_case(ERF, 5, 1, 0),
     "erf-d8": lambda: _hardness_case(ERF, 8, 3, 1),
@@ -401,12 +391,9 @@ MARGIN_CASES = {
     "random-k2-hinge-d7": lambda: _random_case(SH, 7, 9),
     "random-k2-hinge-d10": lambda: _random_case(SH, 10, 10),
     "random-k2-quad-d8": lambda: _random_case(QUAD, 8, 11),
-    # margins of -inf and +inf from finite weights
-    "overflow-output": _overflow_case,
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(MARGIN_CASES))
 def test_margins_equal_the_scalar_oracle(case):
     net, hs = MARGIN_CASES[case]()
@@ -439,6 +426,30 @@ def test_margins_raise_on_a_nan_margin(monkeypatch):
     monkeypatch.setattr(network, "_hypercube_margins", nan_at_9)
     with pytest.raises(OverflowError, match=r"input \(-1, 1, -1, -1, 1\) is NaN \(1 inputs\)"):
         brute_force_margins(net, hs)
+
+
+def _with_output_weights(net, value):
+    return NeuralNet(weights=(net.weights[0], np.full_like(net.weights[1], value)),
+                     activation=net.activation)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_margins_raise_on_an_infinite_margin():
+    # finite output weights of 1e308: every hidden value lies in (0, 1) and
+    # either sums to at most 1.125 or to at least 1.875 (the neurons are
+    # saturated), so the output overflows to +inf wherever the sum is at
+    # least 1.875, and the margin there is -inf or +inf by its label; it used
+    # to report min_margin=-inf
+    net, hs = _hardness_case(ERF, 6, 2, 12)
+    with pytest.raises(OverflowError, match=r"input \(-1, -1, -1, -1, -1, -1\) is infinite "
+                                            r"\(52 inputs\)"):
+        brute_force_margins(_with_output_weights(net, 1e308), hs)
+    # every label +1, so every margin is +inf: it used to report
+    # min_margin=inf, max_hinge_loss=0.0, a perfect fit
+    hs = HalfspaceFamily(np.array([[1, 0, 0]] * 3), np.array([-3] * 3), budget=8)
+    net = build_hardness_net(hs, ERF, select_margin_param(ERF, 3))
+    with pytest.raises(OverflowError, match=r"is infinite \(8 inputs\)"):
+        brute_force_margins(_with_output_weights(net, 1e308), hs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

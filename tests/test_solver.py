@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reckernel.kernel import KernelStack, gram
+from reckernel.kernel import ROW_BLOCK, KernelStack, NormBoundError, gram
 from reckernel.solver import (
     DegenerateClassError,
     OneVsAllPredictor,
@@ -18,6 +20,7 @@ from reckernel.solver import (
 
 from conftest import (ellipsoid_oracle, objective_of, random_unit_rows,
                       solver_fixture_set)
+from oracles import scores_unblocked
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +260,51 @@ def test_predict_dimension_mismatch():
     p = binary_predictor(np.eye(3), np.zeros(3), depth=1)
     with pytest.raises(ValueError, match="dimension"):
         p.scores(np.array([1.0, 0.0]))
+
+
+def random_predictor(rng, n_support, d, n_classes, depth):
+    # scores of order 1, so an absolute tolerance means what it says
+    alphas = rng.normal(size=(n_classes, n_support)) / n_support
+    return OneVsAllPredictor(support=random_unit_rows(rng, n_support, d), alphas=alphas,
+                             classes=tuple(range(10, 10 + n_classes)), depth=depth,
+                             budget=1.0, loss_kind="hinge")
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+@pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+def test_blocked_scores_equal_the_unblocked_product(m, depth):
+    rng = np.random.default_rng(m + depth)
+    p = random_predictor(rng, 40, 6, 4, depth)
+    Xe = random_unit_rows(rng, m, 6)
+    want = scores_unblocked(p, Xe)
+    got = p.scores_many(Xe)
+    assert got.shape == (m, 4)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(p.classify_many(Xe), np.array(p.classes)[np.argmax(want, axis=1)])
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_bad_row_past_the_first_block_names_its_global_index(bad):
+    rng = np.random.default_rng(12)
+    p = random_predictor(rng, 10, 5, 3, 2)
+    Xe = random_unit_rows(rng, 2 * ROW_BLOCK + 3, 5)
+    Xe[ROW_BLOCK + 6] *= bad
+    with pytest.raises(NormBoundError, match=f"evaluation row {ROW_BLOCK + 6} has "):
+        p.classify_many(Xe)
+
+
+def test_scoring_memory_does_not_grow_with_the_row_count():
+    rng = np.random.default_rng(13)
+    p = random_predictor(rng, 1000, 16, 10, 4)
+    Xe = random_unit_rows(rng, 8192, 16)
+    tracemalloc.start()
+    try:
+        p.scores_many(Xe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 8192 x 1000 cross-kernel alone would be 65.5 MB
+    assert peak < 16e6
 
 
 def test_trained_predictors_are_read_only():
