@@ -241,8 +241,9 @@ def _load_model(path) -> tuple:
             raise IdxFormatError(f"{sup[kind]}: SHA-256 differs from the one recorded "
                                  f"in {path}; the support {kind} changed since training")
     ds = read_idx(sup["images"], sup["labels"])
-    fds = preprocess(ds, tuple(sup["preprocessing"]))
-    X = fds.X[np.array(sup["rows"], dtype=int)]
+    # every step is per row, so only the support rows are preprocessed
+    X = preprocess(ds.subset(np.array(sup["rows"], dtype=int)),
+                   tuple(sup["preprocessing"])).X
     pred = OneVsAllPredictor(
         support=X, alphas=np.array(payload["alphas"], dtype=float),
         classes=tuple(int(c) for c in payload["classes"]),

@@ -22,6 +22,9 @@ LABELS_MAGIC = 0x00000801
 VARIANT_KINDS = ("rotation", "background", "background_rotation")
 PREPROCESS_STEPS = ("deskew", "center", "normalize")
 
+#: rotation and deskew resample this many images at a time (cf. kernel.ROW_BLOCK)
+IMAGE_BLOCK = 64
+
 
 class IdxFormatError(ValueError):
     """An IDX file violates the container format."""
@@ -43,7 +46,8 @@ class ImageDataset:
         if labs.shape != (imgs.shape[0],):
             raise ValueError(
                 f"{imgs.shape[0]} images but {labs.shape[0] if labs.ndim else 0} labels")
-        if imgs.size and (imgs.min() < 0.0 or imgs.max() > 1.0):
+        # written so that NaN fails it too
+        if imgs.size and not (imgs.min() >= 0.0 and imgs.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         imgs.setflags(write=False)
         labs.setflags(write=False)
@@ -148,51 +152,77 @@ def write_idx(ds: ImageDataset, images_path, labels_path) -> None:
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def _bilinear(img: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Sample img at fractional (row, col) coordinates; outside is zero."""
-    h, w = img.shape
-    r0 = np.floor(R).astype(np.int64)
-    c0 = np.floor(C).astype(np.int64)
-    fr = R - r0
-    fc = C - c0
+def _bilinear(imgs: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Sample each image of a (b, h, w) block at its own fractional (row, col)
+    coordinates, R and C shaped like the block; outside is zero."""
+    b, h, w = imgs.shape
+    flat = imgs.reshape(-1)
+    base = (np.arange(b) * (h * w))[:, None, None]
+    r0, c0 = np.floor(R).astype(np.int64), np.floor(C).astype(np.int64)
+    fr, fc = R - r0, C - c0
     out = np.zeros(R.shape)
     for dr, dc, wt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
                        (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        ri = r0 + dr
-        ci = c0 + dc
+        ri, ci = r0 + dr, c0 + dc
         valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        vals = np.where(valid, img[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)], 0.0)
-        out += wt * vals
+        idx = base + np.clip(ri, 0, h - 1) * w + np.clip(ci, 0, w - 1)
+        out += wt * np.where(valid, flat[idx], 0.0)
     return out
 
 
-def rotate_image(img: np.ndarray, theta: float) -> np.ndarray:
-    """Rotate about the image center with bilinear sampling, zero fill."""
-    h, w = img.shape
+def _rotate(imgs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Rotate each image of a block by its angle about the image center."""
+    _, h, w = imgs.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     dr = rr - cy
     dc = cc - cx
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cos_t, sin_t = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
     r_src = cy + cos_t * dr + sin_t * dc
     c_src = cx - sin_t * dr + cos_t * dc
-    return _bilinear(img, r_src, c_src)
+    return _bilinear(imgs, r_src, c_src)
 
 
-def shear_coefficient(img: np.ndarray) -> float:
-    """Intensity-weighted cov(col, row) / var(row); 0 for degenerate mass."""
-    mass = float(img.sum())
-    if mass <= 0.0:
-        return 0.0
-    h, w = img.shape
+def _moments(imgs: np.ndarray):
+    """Per image of a (b, h, w) block, as (b, 1, 1) arrays: the mass, the
+    intensity-weighted mean row and column, and the shear cov(col, row) /
+    var(row).  The shear is 0 where var(row) < 1e-12; means and shear of a
+    zero-mass image are 0."""
+    _, h, w = imgs.shape
     rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    mu_r = float((img * rr).sum()) / mass
-    mu_c = float((img * cc).sum()) / mass
-    var_r = float((img * (rr - mu_r) ** 2).sum()) / mass
-    if var_r < 1e-12:
-        return 0.0
-    cov = float((img * (rr - mu_r) * (cc - mu_c)).sum()) / mass
-    return cov / var_r
+    mass = imgs.sum(axis=(1, 2), keepdims=True)
+    safe = np.where(mass > 0.0, mass, 1.0)
+
+    def mean(a):
+        return a.sum(axis=(1, 2), keepdims=True) / safe
+
+    mu_r = mean(imgs * rr)
+    mu_c = mean(imgs * cc)
+    var_r = mean(imgs * (rr - mu_r) ** 2)
+    cov = mean(imgs * (rr - mu_r) * (cc - mu_c))
+    shear = np.divide(cov, var_r, out=np.zeros_like(cov), where=~(var_r < 1e-12))
+    return mass, mu_r, mu_c, shear
+
+
+def _deskew(imgs: np.ndarray) -> np.ndarray:
+    """Deskew each image of a (b, h, w) block; see :func:`deskew`."""
+    _, h, w = imgs.shape
+    mass, mu_r, mu_c, s = _moments(imgs)
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    r_src = rr + (mu_r - (h - 1) / 2.0)
+    c_src = cc + (mu_c - (w - 1) / 2.0) + s * (r_src - mu_r)
+    out = _bilinear(imgs, r_src, c_src)
+    zero = mass.ravel() <= 0.0
+    out[zero] = imgs[zero]
+    return out
+
+
+def _by_blocks(resample, src: np.ndarray, dst: np.ndarray, *per_image) -> None:
+    """dst = resample(src, *per_image) over IMAGE_BLOCK images at a time, so
+    temporaries are O(IMAGE_BLOCK x pixels); dst may be src."""
+    for i in range(0, len(src), IMAGE_BLOCK):
+        j = slice(i, i + IMAGE_BLOCK)
+        dst[j] = resample(src[j], *(a[j] for a in per_image))
 
 
 def deskew(img: np.ndarray) -> np.ndarray:
@@ -203,19 +233,7 @@ def deskew(img: np.ndarray) -> np.ndarray:
     translation are folded into a single bilinear resampling pass.  Zero-mass
     images are returned unchanged.
     """
-    img = np.asarray(img, dtype=float)
-    mass = float(img.sum())
-    if mass <= 0.0:
-        return img.copy()
-    h, w = img.shape
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    mu_r = float((img * rr).sum()) / mass
-    mu_c = float((img * cc).sum()) / mass
-    s = shear_coefficient(img)
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    r_src = rr + (mu_r - cy)
-    c_src = cc + (mu_c - cx) + s * (r_src - mu_r)
-    return _bilinear(img, r_src, c_src)
+    return _deskew(np.asarray(img, dtype=float)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +271,20 @@ def make_variant(ds: ImageDataset, kind: str, seed: int,
     background: per-pixel max with a binary noise patch.
     background_rotation: rotation first, then background.
     Deterministic given the seed (angles are drawn before patches); ``angles``
-    and ``patches`` are test hooks overriding the draws.
+    (n,) and ``patches`` (n, h, w) are test hooks overriding the draws.
     """
     if kind not in VARIANT_KINDS:
         raise ValueError(f"kind must be one of {VARIANT_KINDS}, got {kind!r}")
     rng = np.random.default_rng(seed)
     imgs = ds.images
     n, h, w = imgs.shape
+    for name, hook, shape in (("angles", angles, (n,)), ("patches", patches, (n, h, w))):
+        if hook is not None and np.shape(hook) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(hook)}")
     if kind in ("rotation", "background_rotation"):
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=n) if angles is None else np.asarray(angles)
-        imgs = np.stack([rotate_image(imgs[i], thetas[i]) for i in range(n)])
+        imgs = np.empty((n, h, w))
+        _by_blocks(_rotate, ds.images, imgs, thetas)
         np.clip(imgs, 0.0, 1.0, out=imgs)
     if kind in ("background", "background_rotation"):
         pats = _noise_patches(rng, n, h, w) if patches is None else np.asarray(patches)
@@ -281,7 +303,8 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
     normalize scales rows to unit l2 norm.  Zero-norm rows at the normalize
     step map to zero vectors and are flagged rather than raised.  The images
     are copied once and each step overwrites that copy, so memory is the
-    output plus O(ROW_BLOCK x pixels) whatever the row count.
+    output plus O(ROW_BLOCK x pixels) whatever the row count; deskew
+    resamples IMAGE_BLOCK images at a time.
     """
     steps = tuple(steps)
     if not steps:
@@ -297,8 +320,7 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
     flagged: tuple[int, ...] = ()
     for s in steps:
         if s == "deskew":
-            for i in range(n):
-                X[i] = deskew(X[i].reshape(h, w)).ravel()
+            _by_blocks(_deskew, X.reshape(n, h, w), X.reshape(n, h, w))
         elif s == "center":
             X -= X.mean(axis=1, keepdims=True)
         else:

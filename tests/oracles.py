@@ -1,7 +1,8 @@
 """Test oracles kept out of the library: the explicit truncated feature map of
 the depth-1 kernel, the dense form of an embedded quadratic network in it, a
 network evaluated one neuron at a time, the one-shot (unblocked) cross-kernel
-scores, and preprocessing that copies the features at every step.
+scores, the per-image bilinear resampling of rotation and deskew, and
+preprocessing that copies the features at every step.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reckernel.data import FeatureDataset, deskew
+from reckernel.data import FeatureDataset
 from reckernel.kernel import _check_rows, kernel_matrix
 
 
@@ -97,9 +98,79 @@ def scores_unblocked(pred, Xe) -> np.ndarray:
     return kernel_matrix(pred.depth, Xe, pred.support, label="evaluation row {}") @ pred.alphas.T
 
 
+def _bilinear(img: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Sample img at fractional (row, col) coordinates; outside is zero."""
+    h, w = img.shape
+    r0 = np.floor(R).astype(np.int64)
+    c0 = np.floor(C).astype(np.int64)
+    fr = R - r0
+    fc = C - c0
+    out = np.zeros(R.shape)
+    for dr, dc, wt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
+                       (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
+        ri = r0 + dr
+        ci = c0 + dc
+        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
+        vals = np.where(valid, img[np.clip(ri, 0, h - 1), np.clip(ci, 0, w - 1)], 0.0)
+        out += wt * vals
+    return out
+
+
+def rotate_image(img: np.ndarray, theta: float) -> np.ndarray:
+    """Rotate about the image center with bilinear sampling, zero fill."""
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dr = rr - cy
+    dc = cc - cx
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    r_src = cy + cos_t * dr + sin_t * dc
+    c_src = cx - sin_t * dr + cos_t * dc
+    return _bilinear(img, r_src, c_src)
+
+
+def shear_coefficient(img: np.ndarray) -> float:
+    """Intensity-weighted cov(col, row) / var(row); 0 for degenerate mass."""
+    mass = float(img.sum())
+    if mass <= 0.0:
+        return 0.0
+    h, w = img.shape
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    mu_r = float((img * rr).sum()) / mass
+    mu_c = float((img * cc).sum()) / mass
+    var_r = float((img * (rr - mu_r) ** 2).sum()) / mass
+    if var_r < 1e-12:
+        return 0.0
+    cov = float((img * (rr - mu_r) * (cc - mu_c)).sum()) / mass
+    return cov / var_r
+
+
+def deskew(img: np.ndarray) -> np.ndarray:
+    """Shear columns so the intensity principal axis is vertical, then
+    translate the center of mass to the image center.
+
+    Both the shear ``col' = col - s * (row - mu_row)`` and the recentering
+    translation are folded into a single bilinear resampling pass.  Zero-mass
+    images are returned unchanged.
+    """
+    img = np.asarray(img, dtype=float)
+    mass = float(img.sum())
+    if mass <= 0.0:
+        return img.copy()
+    h, w = img.shape
+    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    mu_r = float((img * rr).sum()) / mass
+    mu_c = float((img * cc).sum()) / mass
+    s = shear_coefficient(img)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    r_src = rr + (mu_r - cy)
+    c_src = cc + (mu_c - cx) + s * (r_src - mu_r)
+    return _bilinear(img, r_src, c_src)
+
+
 def preprocess_out_of_place(ds, steps) -> FeatureDataset:
     """``data.preprocess`` with a new feature array at every step: a stacked
-    list for deskew, ``X - mean`` and ``X / norms``."""
+    list of the per-image :func:`deskew`, ``X - mean`` and ``X / norms``."""
     steps = tuple(steps)
     n, h, w = ds.images.shape
     X = ds.images.reshape(n, h * w).copy()

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from reckernel import cli
 from reckernel.cli import main
-from reckernel.data import ImageDataset, read_idx, write_idx
+from reckernel.data import ImageDataset, preprocess, read_idx, write_idx
+from reckernel.glyphs import make_corpus
 from reckernel.kernel import read_gram
 
 
@@ -255,6 +257,33 @@ def test_eval_refuses_a_model_without_support_hashes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--images", ip, "--labels", lp]) == 3
     assert capsys.readouterr().err.startswith(f"data error: {lp}: the model records no SHA-256")
+
+
+def test_eval_preprocesses_only_the_support_rows(tmp_path, capsys, monkeypatch):
+    # 40 glyphs, a zero image among the first 12 (flagged, so dropped), and a
+    # model trained on those 12 with the full deskew/center/normalize pipeline
+    corpus = make_corpus(40, seed=31)
+    images = corpus.images.copy()
+    images[10] = 0.0
+    ip, lp = tmp_path / "g-i.idx", tmp_path / "g-l.idx"
+    write_idx(ImageDataset(images, np.arange(40) % 10), ip, lp)
+    model = tmp_path / "m.json"
+    assert main(["train", "--images", str(ip), "--labels", str(lp), "--limit", "12",
+                 "--max-iters", "20", "--out-model", str(model)]) == 0
+    sup = json.loads(model.read_text())["support"]
+    assert len(sup["rows"]) == 11 and 10 not in sup["rows"]
+    seen = []
+
+    def counting(ds, steps):
+        seen.append(ds.n)
+        return preprocess(ds, steps)
+
+    monkeypatch.setattr(cli, "preprocess", counting)
+    pred, steps = cli._load_model(model)
+    assert seen == [11]
+    # the features of preprocessing the whole file, then selecting the rows
+    whole = preprocess(read_idx(ip, lp), steps).X[np.array(sup["rows"])]
+    assert pred.support.tobytes() == whole.tobytes()
 
 
 def test_missing_file_exits_3(tmp_path, capsys):

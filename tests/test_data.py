@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,11 @@ from reckernel.data import (
     make_variant,
     preprocess,
     read_idx,
-    rotate_image,
-    shear_coefficient,
     write_idx,
 )
 
-from oracles import preprocess_out_of_place
+import oracles
+from oracles import preprocess_out_of_place, shear_coefficient
 
 
 def byte_dataset(n=6, seed=0):
@@ -80,6 +80,10 @@ def test_dataset_validation():
         ImageDataset(np.zeros((3, 4, 4)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ImageDataset(np.full((1, 2, 2), 1.5), np.array([0]))
+    nan = np.zeros((2, 4, 4))
+    nan[1, 2, 3] = np.nan  # min and max are NaN, and NaN < 0.0 is False
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ImageDataset(nan, np.array([0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +100,7 @@ def test_rotation_half_turn_flips():
     img = np.zeros((3, 3))
     img[0, 1] = 0.7
     img[1, 0] = 0.3
-    got = rotate_image(img, np.pi)
+    got = make_variant(ImageDataset(img[None], [0]), "rotation", 0, angles=[np.pi]).images[0]
     assert got == pytest.approx(img[::-1, ::-1], abs=1e-12)
 
 
@@ -140,6 +144,60 @@ def test_variants_reproducible_byte_for_byte(tmp_path):
 def test_variant_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         make_variant(byte_dataset(1), "blur", seed=0)
+
+
+@pytest.mark.parametrize("kind", ["rotation", "background", "background_rotation"])
+def test_variant_of_an_empty_dataset_is_empty(kind):
+    empty = ImageDataset(np.zeros((0, 28, 28)), np.zeros(0, dtype=int))
+    out = make_variant(empty, kind, seed=0)
+    assert out.images.shape == (0, 28, 28) and out.labels.shape == (0,)
+    assert out.tag == kind
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["rotation", "background_rotation"])
+def test_nan_angles_fail_loudly(kind):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        make_variant(byte_dataset(3), kind, seed=0, angles=[0.0, np.nan, 1.0])
+
+
+@pytest.mark.parametrize("hook, value", [
+    ("angles", np.zeros(2)), ("angles", np.zeros(4)), ("angles", np.zeros((3, 1))),
+    ("patches", np.zeros((3, 28))), ("patches", np.zeros((1, 28, 28))),
+], ids=["2 angles", "4 angles", "angle column", "2-d patches", "1 patch"])
+def test_variant_hooks_must_match_the_dataset(hook, value):
+    kind, shape = ("rotation", (3,)) if hook == "angles" else ("background", (3, 28, 28))
+    with pytest.raises(ValueError, match=re.escape(f"{hook} must have shape {shape}")):
+        make_variant(byte_dataset(3), kind, seed=0, **{hook: value})
+
+
+def resampler_fixture(n):
+    """n images: glyphs, and among them a zero image, a one-row stroke (its
+    var(row) is 3e-30 from rounding, under the 1e-12 cut but not 0) and a lone
+    corner pixel."""
+    from reckernel.glyphs import make_corpus
+    images = make_corpus(n, seed=37).images.copy()
+    for i, k in enumerate(range(0, n, 21)):
+        images[k] = 0.0
+        if i % 3 == 1:
+            images[k, 10, 6:20] = 0.8
+        elif i % 3 == 2:
+            images[k, 27, 27] = 1.0
+    return ImageDataset(images, np.arange(n) % 10)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_block_resampler_is_bit_identical_to_the_per_image_oracle(n):
+    ds = resampler_fixture(n)
+    thetas = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, n)
+    got = make_variant(ds, "rotation", seed=0, angles=thetas).images
+    want = np.stack([oracles.rotate_image(img, t) for img, t in zip(ds.images, thetas)])
+    assert np.array_equal(got, np.clip(want, 0.0, 1.0))
+    got = preprocess(ds, ("deskew",)).X
+    want = np.stack([oracles.deskew(img).ravel() for img in ds.images])
+    assert np.array_equal(got, want)
+    for img in ds.images[::21]:  # the zero image, the stroke, the corner pixel
+        assert np.array_equal(deskew(img), oracles.deskew(img))
 
 
 # ---------------------------------------------------------------------------
