@@ -241,9 +241,13 @@ def _load_model(path) -> tuple:
             raise IdxFormatError(f"{sup[kind]}: SHA-256 differs from the one recorded "
                                  f"in {path}; the support {kind} changed since training")
     ds = read_idx(sup["images"], sup["labels"])
+    bad = [r for r in sup["rows"] if type(r) is not int or not 0 <= r < ds.n]
+    if bad:
+        raise IdxFormatError(f"{sup['images']}: the model's support row {bad[0]!r} is not "
+                             f"an index into the file's {ds.n} rows")
+    rows = np.array(sup["rows"], dtype=int)
     # every step is per row, so only the support rows are preprocessed
-    X = preprocess(ds.subset(np.array(sup["rows"], dtype=int)),
-                   tuple(sup["preprocessing"])).X
+    X = preprocess(ds.subset(rows), tuple(sup["preprocessing"])).X
     pred = OneVsAllPredictor(
         support=X, alphas=np.array(payload["alphas"], dtype=float),
         classes=tuple(int(c) for c in payload["classes"]),

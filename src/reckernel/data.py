@@ -281,6 +281,8 @@ def make_variant(ds: ImageDataset, kind: str, seed: int,
     for name, hook, shape in (("angles", angles, (n,)), ("patches", patches, (n, h, w))):
         if hook is not None and np.shape(hook) != shape:
             raise ValueError(f"{name} must have shape {shape}, got {np.shape(hook)}")
+        if hook is not None and not np.isfinite(hook).all():
+            raise ValueError(f"{name} must be finite")
     if kind in ("rotation", "background_rotation"):
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=n) if angles is None else np.asarray(angles)
         imgs = np.empty((n, h, w))
@@ -299,7 +301,8 @@ def make_variant(ds: ImageDataset, kind: str, seed: int,
 def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
     """Flatten images and apply the steps in order.
 
-    deskew resamples each image; center subtracts the per-image mean pixel;
+    deskew resamples each image and must come before center (it needs the
+    nonnegative mass); center subtracts the per-image mean pixel;
     normalize scales rows to unit l2 norm.  Zero-norm rows at the normalize
     step map to zero vectors and are flagged rather than raised.  The images
     are copied once and each step overwrites that copy, so memory is the
@@ -314,6 +317,9 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
         if s not in PREPROCESS_STEPS:
             raise ValueError(f"unknown preprocessing step {s!r}; "
                              f"supported: {PREPROCESS_STEPS}")
+    if "center" in steps and "deskew" in steps[steps.index("center"):]:
+        raise ValueError(f"deskew must come before center, got {','.join(steps)}: deskew "
+                         "needs the nonnegative pixel mass that center takes away")
     n, h, w = ds.images.shape
     # the one copy; every step then works in place
     X = np.array(ds.images, order="C").reshape(n, h * w)

@@ -259,6 +259,37 @@ def test_eval_refuses_a_model_without_support_hashes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"data error: {lp}: the model records no SHA-256")
 
 
+@pytest.mark.parametrize("row", [999, 6, -1, 2.9])
+def test_eval_refuses_a_support_row_outside_the_file(row, tmp_path, capsys):
+    ip, lp, model = _toy_model(tmp_path)  # 6 rows
+    payload = json.loads(model.read_text())
+    payload["support"]["rows"][1] = row
+    model.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--images", ip, "--labels", lp]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {ip}: the model's support row {row} is not an index "
+                          "into the file's 6 rows")
+
+
+def test_train_refuses_deskew_after_center_with_exit_2(tmp_path, capsys):
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    rc = main(["train", "--images", ip, "--labels", lp, "--preprocess",
+               "center,deskew,normalize", "--out-model", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "deskew must come before center, got center,deskew,normalize" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_synth_with_an_empty_split(tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path), "--train", "20", "--val", "0",
+                 "--test", "10"]) == 0
+    val = read_idx(tmp_path / "basic-val-images.idx", tmp_path / "basic-val-labels.idx")
+    assert val.images.shape == (0, 28, 28) and val.labels.shape == (0,)
+    assert read_idx(tmp_path / "basic-train-images.idx",
+                    tmp_path / "basic-train-labels.idx").n == 20
+
+
 def test_eval_preprocesses_only_the_support_rows(tmp_path, capsys, monkeypatch):
     # 40 glyphs, a zero image among the first 12 (flagged, so dropped), and a
     # model trained on those 12 with the full deskew/center/normalize pipeline

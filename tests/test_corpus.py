@@ -6,11 +6,12 @@ import pytest
 from reckernel import glyphs
 from reckernel.baseline import LogisticConfig, predict_logistic, train_logistic
 from reckernel.data import preprocess, write_idx, read_idx
-from reckernel.glyphs import make_corpus, render_glyph
+from reckernel.glyphs import make_corpus
 
 # ---------------------------------------------------------------------------
 # Reference renderer: the dense all-pairs splat and the per-segment densify
-# loop, kept verbatim as an oracle for the windowed renderer in the library
+# loop, one glyph at a time, kept as an oracle for the block renderer in the
+# library
 # ---------------------------------------------------------------------------
 
 _PIXELS = np.stack(np.meshgrid(np.arange(glyphs.SIZE), np.arange(glyphs.SIZE), indexing="ij"),
@@ -72,14 +73,34 @@ def test_corpus_digest_is_pinned(n, seed, digest):
     assert _digest(make_corpus(n, seed=seed)) == digest
 
 
+def _dense_corpus(n, seed):
+    # the same permutation first, then one glyph at a time, then the 1/255 rounding
+    rng = np.random.default_rng(seed)
+    labels = (np.arange(n) % 10)[rng.permutation(n)]
+    images = np.stack([_dense_render_glyph(int(c), rng) for c in labels])
+    return np.round(images * 255.0) / 255.0, labels
+
+
 def test_render_matches_dense_reference_bit_for_bit():
-    new_rng, ref_rng = np.random.default_rng(104729), np.random.default_rng(104729)
-    for i in range(300):  # 30 draws of every digit
-        got = render_glyph(i % 10, new_rng)
-        want = _dense_render_glyph(i % 10, ref_rng)
-        assert got.tobytes() == want.tobytes(), f"draw {i} (digit {i % 10}) differs"
-    # same random draws in the same order
-    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    # within one block, exactly one block, and across block edges
+    for n in (1, 63, 64, 65, 130, 300):
+        got = make_corpus(n, seed=104729)
+        images, labels = _dense_corpus(n, seed=104729)
+        assert got.labels.tobytes() == labels.tobytes(), f"n={n}: labels differ"
+        for i in range(n):
+            assert got.images[i].tobytes() == images[i].tobytes(), f"n={n}: glyph {i} differs"
+
+
+def test_empty_corpus_has_no_images():
+    ds = make_corpus(0, seed=1)
+    assert ds.images.shape == (0, glyphs.SIZE, glyphs.SIZE)
+    assert ds.labels.shape == (0,)
+
+
+def _splat_one(pts, thickness, brightness):
+    pts = np.asarray(pts, dtype=float)
+    return glyphs._splat(pts, np.zeros(len(pts), dtype=np.int64), np.array([thickness]),
+                         np.array([brightness]))[0]
 
 
 @pytest.mark.parametrize("pts", [
@@ -90,19 +111,34 @@ def test_render_matches_dense_reference_bit_for_bit():
 ])
 @pytest.mark.parametrize("thickness", [0.9, 1.37, glyphs.THICKNESS_MAX])
 def test_splat_edge_cases_match_dense_reference(pts, thickness):
-    pts = np.asarray(pts, dtype=float)
-    got = glyphs._splat(pts, thickness, 0.93)
-    want = _dense_splat(pts, thickness, 0.93)
+    got = _splat_one(pts, thickness, 0.93)
+    want = _dense_splat(np.asarray(pts, dtype=float), thickness, 0.93)
     assert got.tobytes() == want.tobytes()
 
 
 def test_splat_random_points_around_the_grid_match_dense_reference():
+    # 200 images in one block, each from its own few points, at the widest stroke
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        pts = rng.uniform(-2.0, 30.0, size=(rng.integers(1, 6), 2))
-        got = glyphs._splat(pts, glyphs.THICKNESS_MAX, 1.0)
-        want = _dense_splat(pts, glyphs.THICKNESS_MAX, 1.0)
-        assert got.tobytes() == want.tobytes()
+    sets = [rng.uniform(-2.0, 30.0, size=(rng.integers(1, 6), 2)) for _ in range(200)]
+    slot = np.repeat(np.arange(200), [len(p) for p in sets])
+    got = glyphs._splat(np.concatenate(sets), slot, np.full(200, glyphs.THICKNESS_MAX),
+                        np.ones(200))
+    for img, pts in zip(got, sets):
+        assert img.tobytes() == _dense_splat(pts, glyphs.THICKNESS_MAX, 1.0).tobytes()
+
+
+def test_splat_keeps_each_glyph_of_a_block_to_its_own_image():
+    # glyph 0 reaches past the right edge and glyph 1 past the left edge: in
+    # flat indices, column 28 of glyph 0's last row is pixel 0 of glyph 1, and
+    # column -1 of glyph 1's first row is the last pixel of glyph 0
+    right = np.array([[27.4, 27.6], [27.0, 27.6], [13.0, 27.6], [0.2, 27.6]])
+    left = np.array([[0.3, -0.6], [0.0, -0.6], [13.0, -0.6], [27.4, -0.6]])
+    thickness, brightness = np.array([glyphs.THICKNESS_MAX, 1.3]), np.array([1.0, 0.9])
+    got = glyphs._splat(np.concatenate([right, left]), np.repeat([0, 1], 4), thickness,
+                        brightness)
+    assert got[0].tobytes() == _dense_splat(right, thickness[0], brightness[0]).tobytes()
+    assert got[1].tobytes() == _dense_splat(left, thickness[1], brightness[1]).tobytes()
+    assert got[0][:, :20].sum() == 0.0 and got[1][:, 8:].sum() == 0.0
 
 
 def test_densify_matches_per_segment_loop():
@@ -113,12 +149,16 @@ def test_densify_matches_per_segment_loop():
     polys += [np.array([[3.0, 4.0]]),                        # a single point
               np.array([[1.0, 1.0], [1.0, 1.0], [2.2, 1.0]]),  # zero-length segment
               np.array([[0.0, 0.0], [0.0, 1.8]])]              # length a multiple of step
-    for poly in polys:
-        for step in (0.6, 0.03):
-            got = glyphs._densify(poly, step=step)
-            want = _dense_densify(poly, step)
-            assert got.shape == want.shape
+    for step in (0.6, 0.03):
+        wants = [_dense_densify(poly, step) for poly in polys]
+        for poly, want in zip(polys, wants):
+            got, lengths = glyphs._densify(poly, [len(poly)], step=step)
+            assert got.shape == want.shape and lengths.tolist() == [len(want)]
             assert got.tobytes() == want.tobytes()
+        # all of them in one call: the joining segments add no points
+        got, lengths = glyphs._densify(np.concatenate(polys), [len(p) for p in polys], step)
+        assert lengths.tolist() == [len(w) for w in wants]
+        assert got.tobytes() == np.concatenate(wants).tobytes()
 
 
 def test_corpus_deterministic_and_seed_sensitive():
@@ -141,9 +181,8 @@ def test_corpus_is_balanced_and_byte_quantized(tmp_path):
 
 
 def test_glyphs_keep_rotation_safe_margin():
-    rng = np.random.default_rng(6)
-    for d in range(10):
-        img = render_glyph(d, rng)
+    # one of each digit, drawn as by ten consecutive glyphs of a corpus
+    for img in glyphs._render_block(np.arange(10), np.random.default_rng(6)):
         assert img[:3, :].sum() == 0.0
         assert img[-3:, :].sum() == 0.0
         assert img[:, :3].sum() == 0.0
@@ -166,4 +205,5 @@ def test_densify_counts_points_from_the_same_rounded_length():
     # fused multiply-add and a plain sum of squares round it to either side
     poly = np.array([[0.0, 0.0], [-2.595639228824825, 9.968998549934648]])
     step = 5.150686242987759
-    assert glyphs._densify(poly, step=step).tobytes() == _dense_densify(poly, step).tobytes()
+    got, _ = glyphs._densify(poly, [2], step=step)
+    assert got.tobytes() == _dense_densify(poly, step).tobytes()
