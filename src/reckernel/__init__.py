@@ -26,7 +26,6 @@ from .network import (  # noqa: F401
     forward,
     forward_many,
     random_net,
-    validate,
 )
 from .solver import (  # noqa: F401
     OneVsAllPredictor,

@@ -289,7 +289,6 @@ class CapacityReport:
     k: int
     L: float
     levels: tuple[LogValue, ...]
-    converged: bool
     terms_used: int
     #: True when every level satisfied H(lam) >= lam on this run (recorded, not assumed)
     non_decreasing: bool = True
@@ -382,8 +381,7 @@ def compute_F(act: Activation, k: int, L: float, tol: float = 1e-12) -> Capacity
         levels.append(value)
         lam = value
     return CapacityReport(activation=act.name, k=k, L=L, levels=tuple(levels),
-                          converged=True, terms_used=total_terms,
-                          non_decreasing=non_decreasing)
+                          terms_used=total_terms, non_decreasing=non_decreasing)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: the learning rate at step t is LR / (1 + t / DECAY)
+LR = 2.0
+DECAY = 200.0
+
+
 @dataclass(frozen=True)
 class LogisticConfig:
     n_classes: int = 10
     iters: int = 400
-    lr: float = 2.0
-    #: learning rate decays as lr / (1 + t / decay)
-    decay: float = 200.0
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -39,7 +41,7 @@ def train_logistic(X, labels, cfg: LogisticConfig) -> np.ndarray:
     for t in range(cfg.iters):
         P = _softmax(Xb @ W.T)
         grad = (P - Y).T @ Xb / n
-        W -= (cfg.lr / (1.0 + t / cfg.decay)) * grad
+        W -= (LR / (1.0 + t / DECAY)) * grad
     return W
 
 

@@ -226,34 +226,54 @@ def _model_payload(pred: OneVsAllPredictor, images, labels, hashes, rows, steps)
 
 
 def _load_model(path) -> tuple:
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format") != "reckernel-model-v1":
+    """The model in ``path`` over its preprocessed support rows, and its
+    preprocessing steps.  A file that is not a model, or whose parts do not
+    fit together, is a data error naming it."""
+    try:
+        with open(path, "rb") as f:
+            payload = json.load(f)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise IdxFormatError(f"{path}: not a JSON model file: {e}") from None
+    if not isinstance(payload, dict) or payload.get("format") != "reckernel-model-v1":
         raise IdxFormatError(f"{path}: not a reckernel model file")
-    sup = payload["support"]
+    try:
+        sup = payload["support"]
+        images, labels = str(sup["images"]), str(sup["labels"])
+        rows, steps = list(sup["rows"]), tuple(sup["preprocessing"])
+        classes, depth = tuple(payload["classes"]), payload["depth"]
+        alphas = np.array(payload["alphas"], dtype=float)
+        budget, loss = float(payload["B"]), str(payload["loss"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise IdxFormatError(f"{path}: malformed model: {type(e).__name__}: {e}") from None
+    if classes != tuple(range(len(classes))):
+        raise IdxFormatError(f"{path}: classes {classes} are not 0..{len(classes) - 1}")
+    if type(depth) is not int or depth < 0:
+        raise IdxFormatError(f"{path}: depth {depth!r} is not a nonnegative integer")
+    if alphas.shape != (len(classes), len(rows)) or not np.isfinite(alphas).all():
+        raise IdxFormatError(f"{path}: alphas have shape {alphas.shape}, expected a finite "
+                             f"{len(classes)} x {len(rows)} (classes x support rows) matrix")
     # the support set is part of the model: refuse it if it changed on disk
-    for kind in ("images", "labels"):
+    for kind, file in (("images", images), ("labels", labels)):
         recorded = sup.get(f"{kind}_sha256")
         if recorded is None:
-            raise IdxFormatError(f"{sup[kind]}: the model records no SHA-256 for its "
+            raise IdxFormatError(f"{file}: the model records no SHA-256 for its "
                                  f"support {kind}")
-        if _sha256(sup[kind]) != recorded:
-            raise IdxFormatError(f"{sup[kind]}: SHA-256 differs from the one recorded "
+        if _sha256(file) != recorded:
+            raise IdxFormatError(f"{file}: SHA-256 differs from the one recorded "
                                  f"in {path}; the support {kind} changed since training")
-    ds = read_idx(sup["images"], sup["labels"])
-    bad = [r for r in sup["rows"] if type(r) is not int or not 0 <= r < ds.n]
+    ds = read_idx(images, labels)
+    bad = [r for r in rows if type(r) is not int or not 0 <= r < ds.n]
     if bad:
-        raise IdxFormatError(f"{sup['images']}: the model's support row {bad[0]!r} is not "
+        raise IdxFormatError(f"{images}: the model's support row {bad[0]!r} is not "
                              f"an index into the file's {ds.n} rows")
-    rows = np.array(sup["rows"], dtype=int)
-    # every step is per row, so only the support rows are preprocessed
-    X = preprocess(ds.subset(rows), tuple(sup["preprocessing"])).X
-    pred = OneVsAllPredictor(
-        support=X, alphas=np.array(payload["alphas"], dtype=float),
-        classes=tuple(int(c) for c in payload["classes"]),
-        depth=int(payload["depth"]), budget=float(payload["B"]),
-        loss_kind=payload["loss"])
-    return pred, tuple(sup["preprocessing"])
+    try:
+        # every step is per row, so only the support rows are preprocessed
+        X = preprocess(ds.subset(np.array(rows, dtype=int)), steps).X
+    except ValueError as e:  # the recorded steps: the rows are checked above
+        raise IdxFormatError(f"{path}: {e}") from None
+    pred = OneVsAllPredictor(support=X, alphas=alphas, classes=classes, depth=depth,
+                             budget=budget, loss_kind=loss)
+    return pred, steps
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +293,6 @@ def cmd_bound(args) -> int:
         "log10_levels": [lv.log10 for lv in report.levels],
         "log10_value": report.value.log10,
         "value": report.value.to_float() if report.value.log10 < 300 else None,
-        "converged": report.converged,
         "terms_used": report.terms_used,
     }
     print(json.dumps(payload, sort_keys=True))

@@ -4,8 +4,10 @@ Each digit class is a set of stroke templates (polylines and arcs in the unit
 square) rendered through a randomized affine jitter (rotation, shear, scale,
 translation), per-point wobble, stroke thickness, and brightness.  Rendering
 is a distance-field splat: pixel intensity falls off linearly with distance
-to the stroke skeleton.  Glyphs keep a >= 4 pixel margin so rotation variants
-lose almost no mass.  Everything is deterministic for a fixed seed.
+to the stroke skeleton.  Glyphs keep at least 2 unlit pixels to each image
+edge: of 2000 glyphs from each of seeds 0, 6 and 104729, 8, 3 and 4 have a
+margin of exactly 2 pixels, and 86, 91 and 89 a margin under 4.  Everything
+is deterministic for a fixed seed.
 
 The splat is local and exact: each skeleton point is compared only with the
 pixels in a small window around its rounded position, and each pixel keeps
@@ -142,7 +144,7 @@ def _render_block(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.round(_splat(pts, slot, thickness, brightness) * 255.0) / 255.0
 
 
-def make_corpus(n: int, seed: int, tag: str = "basic") -> ImageDataset:
+def make_corpus(n: int, seed: int) -> ImageDataset:
     """Balanced shuffled corpus of n glyphs, quantized to byte precision so a
     round trip through the IDX container is exact."""
     rng = np.random.default_rng(seed)
@@ -150,4 +152,4 @@ def make_corpus(n: int, seed: int, tag: str = "basic") -> ImageDataset:
     images = np.empty((n, SIZE, SIZE))
     for i in range(0, n, IMAGE_BLOCK):
         images[i:i + IMAGE_BLOCK] = _render_block(labels[i:i + IMAGE_BLOCK], rng)
-    return ImageDataset(images=images, labels=labels, tag=tag)
+    return ImageDataset(images=images, labels=labels)

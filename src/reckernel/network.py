@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -106,25 +105,6 @@ def forward(net: NeuralNet, x) -> float:
     return float(forward_many(net, np.asarray(x, dtype=float)[None])[0])
 
 
-@dataclass(frozen=True)
-class NormViolation:
-    layer: int
-    row: int
-    norm_kind: str  # "l2" for the first layer, "l1" above
-    norm: float
-    budget: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    budget: float
-    violations: tuple[NormViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _row_norms(p: int, W: np.ndarray) -> tuple[str, np.ndarray]:
     """The norm rule of layer p and its rows' norms: l2 for layer 0, l1 above
     (the output row included)."""
@@ -137,23 +117,11 @@ def _row_norms(p: int, W: np.ndarray) -> tuple[str, np.ndarray]:
         return "l1", np.abs(W).sum(axis=1)
 
 
-def validate(net: NeuralNet, L: float) -> ValidationReport:
-    """List every (layer, row) whose norm exceeds the budget L under
-    :func:`_row_norms`."""
-    if math.isnan(L):
-        raise ValueError("budget must be a number, got nan")
-    violations = []
-    for p, W in enumerate(net.weights):
-        kind, norms = _row_norms(p, W)
-        for i, nv in enumerate(norms):
-            if nv > L * (1.0 + 1e-12):
-                violations.append(NormViolation(p, i, kind, float(nv), L))
-    return ValidationReport(budget=L, violations=tuple(violations))
-
-
 def required_budget(net: NeuralNet) -> float:
-    """Smallest L for which validate(net, L) passes.  Raises OverflowError,
-    naming the layer and row, when a row's norm exceeds the largest double."""
+    """The smallest L that bounds every row's norm under :func:`_row_norms`:
+    the net is in the class of budget L exactly when ``required_budget(net)
+    <= L``.  Raises OverflowError, naming the layer and row, when a row's norm
+    exceeds the largest double."""
     norms = [_row_norms(p, W) for p, W in enumerate(net.weights)]
     for p, (kind, nv) in enumerate(norms):
         if np.isinf(nv).any():  # argmax finds the first inf
@@ -195,7 +163,6 @@ class EmbeddedFunction:
     """Finite coordinate vector over feature tuples, with its exact l2 norm."""
 
     coords: dict[tuple[int, ...], float]
-    depth: int
     norm: float
 
     def evaluate(self, x) -> float:
@@ -227,7 +194,7 @@ def embed_quadratic(net: NeuralNet) -> EmbeddedFunction:
             if M[a, b] != 0.0:
                 coords[(a, b)] = float(M[a, b])
     norm = math.sqrt(math.fsum(v * v for v in coords.values()))
-    return EmbeddedFunction(coords=coords, depth=1, norm=norm)
+    return EmbeddedFunction(coords=coords, norm=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +264,10 @@ def eval_halfspaces(hs: HalfspaceFamily, x) -> int:
 
 
 def extend_input(x) -> np.ndarray:
-    """Append the constant coordinate and scale onto the unit sphere."""
+    """Append the constant coordinate to x, or to each row of x, and scale
+    onto the unit sphere."""
     x = np.asarray(x, dtype=float)
-    return np.append(x, 1.0) / math.sqrt(x.shape[0] + 1)
+    return np.concatenate((x, np.ones(x.shape[:-1] + (1,))), axis=-1) / math.sqrt(x.shape[-1] + 1)
 
 
 def _saturation(act: Activation, v: float) -> float:
@@ -314,15 +282,15 @@ def _saturation(act: Activation, v: float) -> float:
     return act.evaluate(v)
 
 
-def select_margin_param(act: Activation, T: int, slack: Optional[float] = None) -> float:
-    """Smallest scale at which the transfer saturates to within ``slack``.
+def select_margin_param(act: Activation, T: int) -> float:
+    """Smallest scale at which the transfer saturates to within s = 1/(8T).
 
-    Binary search on v for ``transfer(v) >= 1 - slack`` and
-    ``transfer(-v) <= slack``; the result gets a small bump so later numeric
-    checks sit strictly inside the saturated region.  Default slack 1/(8T)
-    halves the 1/(4T) requirement, buying margin for the constant neuron.
+    Binary search on v for ``transfer(v) >= 1 - s`` and ``transfer(-v) <= s``;
+    the result gets a small bump so later numeric checks sit strictly inside
+    the saturated region.  s halves the 1/(4T) requirement, buying margin for
+    the constant neuron.
     """
-    s = slack if slack is not None else 1.0 / (8.0 * T)
+    s = 1.0 / (8.0 * T)
 
     def ok(v: float) -> bool:
         return _saturation(act, v) >= 1.0 - s and _saturation(act, -v) <= s
@@ -435,15 +403,13 @@ def _hypercube_margins(net: NeuralNet, hs: HalfspaceFamily) -> np.ndarray:
     :func:`forward_many` call, so each margin equals the scalar one."""
     d = hs.dim
     n = 2 ** d
-    root = math.sqrt(d + 1.0)
     margins = np.empty(n)
     for start in range(0, n, MARGIN_BLOCK):
         idx = np.arange(start, min(n, start + MARGIN_BLOCK))
         X = _hypercube_points(idx, d)
         g = X @ hs.weights.T - hs.offsets
         labels = np.where(np.all(g >= 1, axis=1), 1.0, -1.0)
-        Y = np.hstack((X, np.ones((idx.size, 1)))) / root  # extend_input, row-wise
-        margins[start:start + idx.size] = labels * forward_many(net, Y)
+        margins[start:start + idx.size] = labels * forward_many(net, extend_input(X))
     return margins
 
 

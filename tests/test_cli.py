@@ -272,6 +272,38 @@ def test_eval_refuses_a_support_row_outside_the_file(row, tmp_path, capsys):
                           "into the file's 6 rows")
 
 
+# each case is the file's bytes, or an edit of a trained model's JSON payload
+MALFORMED_MODELS = {
+    "not_json": b"model {",
+    "not_utf8": b'{"format": "\xff"}',
+    "json_list": b"[1, 2]",
+    "no_support": lambda m: m.pop("support"),
+    "alphas_lost_rows": lambda m: m.update(alphas=m["alphas"][:3]),
+    "alphas_rows_too_short": lambda m: m.update(alphas=[a[:-1] for a in m["alphas"]]),
+    "classes_cut": lambda m: m.update(classes=m["classes"][:4]),
+    "negative_depth": lambda m: m.update(depth=-1),
+    "unknown_step": lambda m: m["support"].update(preprocessing=["blur"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_eval_names_a_malformed_model_with_exit_3(case, tmp_path, capsys):
+    ip, lp = one_hot_dataset(tmp_path, n=10, per_class=2)
+    model = tmp_path / "m.json"
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "1", "--max-iters", "20", "--out-model", str(model)]) == 0
+    edit = MALFORMED_MODELS[case]
+    if isinstance(edit, bytes):
+        model.write_bytes(edit)
+    else:
+        payload = json.loads(model.read_text())
+        edit(payload)
+        model.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--images", ip, "--labels", lp]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {model}: ")
+
+
 def test_train_refuses_deskew_after_center_with_exit_2(tmp_path, capsys):
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     rc = main(["train", "--images", ip, "--labels", lp, "--preprocess",

@@ -190,6 +190,14 @@ def test_glyphs_keep_rotation_safe_margin():
         assert img.sum() > 5.0  # the glyph is actually drawn
 
 
+@pytest.mark.parametrize("seed", [0, 104729])
+def test_corpus_leaves_the_outer_two_pixels_unlit(seed):
+    images = make_corpus(2000, seed=seed).images
+    assert images.sum(axis=(1, 2)).min() > 5.0
+    for band in (images[:, :2, :], images[:, -2:, :], images[:, :, :2], images[:, :, -2:]):
+        assert band.max() == 0.0
+
+
 def test_baseline_learns_the_basic_corpus():
     tr = make_corpus(400, seed=7)
     te = make_corpus(200, seed=8)
