@@ -1,8 +1,8 @@
 """Activations represented by their power series, and the capacity recursion built on them.
 
-An :class:`Activation` is a name plus a coefficient stream ``j -> beta_j`` for
-``sigma(x) = sum_j beta_j x^j``.  From the coefficients we derive the level
-function
+An :class:`Activation` is a name, a closed form for ``sigma``, and a stream
+``j -> ln |beta_j|`` of its power-series coefficients, ``sigma(x) = sum_j
+beta_j x^j``.  From the coefficients we derive the level function
 
     H(lam) = L * sqrt( sum_j 2^(j+1) beta_j^2 lam^(2j) )
 
@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import mpmath
-
 LN2 = math.log(2.0)
 LOG10E = math.log10(math.e)
 
@@ -29,8 +27,6 @@ BUILTIN_NAMES = ("quadratic", "shifted_erf", "smoothed_hinge")
 CONVERGENCE_RUN = 5
 #: hard cap on series terms; hitting it without convergence is a divergence
 TERM_CAP = 10_000
-#: mpmath working precision above this many digits is refused as out of range
-MAX_EVAL_DIGITS = 400
 
 
 class UnknownActivationError(ValueError):
@@ -52,10 +48,6 @@ class SeriesDivergenceError(ArithmeticError):
         self.partial = partial
         self.terms_used = terms_used
         self.level = level
-
-
-class ActivationRangeError(ArithmeticError):
-    """Series evaluation was requested outside its numerically reliable range."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +130,19 @@ class LogValue:
 
 @dataclass(frozen=True)
 class Activation:
-    """A named activation defined by its power-series coefficients.
+    """A named activation: its power-series coefficients and its closed form.
 
-    Each coefficient ``beta_j`` of ``sigma(x) = sum_j beta_j x^j`` comes in
-    two forms with different jobs.  ``log_abs_coeff_fn(j)`` returns
-    ``ln |beta_j|`` as a double (or ``None`` for an exactly-zero coefficient)
-    and stays accurate where ``beta_j`` itself underflows; it drives the
-    capacity sums and the scans that size a series evaluation.
-    ``coeff_mp_fn(j)`` returns ``beta_j`` at the current mpmath precision and
-    feeds the extended-precision sums of :func:`taylor_value`.
-    ``closed_form`` is an exact evaluator used for forward propagation.  All
-    three are required.  Coefficient queries are pure, so repeated calls are
-    bit-identical.
+    ``log_abs_coeff_fn(j)`` returns ``ln |beta_j|`` of ``sigma(x) = sum_j
+    beta_j x^j`` as a double (or ``None`` for an exactly-zero coefficient)
+    and stays accurate where ``beta_j`` itself underflows; the capacity sums
+    need only these magnitudes.  ``closed_form`` evaluates sigma itself, for
+    forward propagation and the shape diagnostic.  Both are required.
+    Coefficient queries are pure, so repeated calls are bit-identical.
     """
 
     name: str
     kind: str
     log_abs_coeff_fn: Callable[[int], Optional[float]]
-    coeff_mp_fn: Callable[[int], "mpmath.mpf"]
     closed_form: Callable[[float], float]
     max_degree: Optional[int] = None
 
@@ -164,14 +151,6 @@ class Activation:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "polynomial" and self.max_degree is None:
             raise ValueError("polynomial activations must declare max_degree")
-
-    def coeff(self, j: int) -> float:
-        """beta_j: the mpmath coefficient rounded to a double."""
-        if j < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        if self.max_degree is not None and j > self.max_degree:
-            return 0.0
-        return float(self.coeff_mp_fn(j))
 
     def log_abs_coeff(self, j: int) -> Optional[float]:
         """ln |beta_j|, or None when beta_j is exactly zero."""
@@ -207,19 +186,6 @@ def _shifted_erf_log_abs(j: int) -> Optional[float]:
     return m * math.log(math.pi) - math.lgamma(m + 1) - math.log(2 * m + 1)
 
 
-def _shifted_erf_coeff_mp(j: int):
-    if j == 0:
-        return mpmath.mpf("0.5")
-    if j % 2 == 0:
-        return mpmath.mpf(0)
-    m = (j - 1) // 2
-    # the exact integer m!, rounded once: mpmath.factorial takes a slower
-    # gamma path for m >= 150, and gives an equal table at the precisions
-    # of the shape check's [-10, 10] grid
-    val = mpmath.power(mpmath.pi, m) / (mpmath.mpf(math.factorial(m)) * (2 * m + 1))
-    return -val if m % 2 else val
-
-
 def _smoothed_hinge_log_abs(j: int) -> Optional[float]:
     if j == 1:
         return math.log(0.5)
@@ -228,17 +194,6 @@ def _smoothed_hinge_log_abs(j: int) -> Optional[float]:
     m = (j - 2) // 2
     return (m * math.log(math.pi) - math.lgamma(m + 1)
             - math.log(2 * m + 1) - math.log(2 * m + 2))
-
-
-def _smoothed_hinge_coeff_mp(j: int):
-    if j == 1:
-        return mpmath.mpf("0.5")
-    if j < 2 or j % 2 == 1:
-        return mpmath.mpf(0)
-    m = (j - 2) // 2
-    val = mpmath.power(mpmath.pi, m) / (mpmath.mpf(math.factorial(m))
-                                         * (2 * m + 1) * (2 * m + 2))
-    return -val if m % 2 else val
 
 
 def builtin_activation(name: str) -> Activation:
@@ -253,7 +208,6 @@ def builtin_activation(name: str) -> Activation:
             name="quadratic",
             kind="polynomial",
             log_abs_coeff_fn=lambda j: 0.0 if j == 2 else None,
-            coeff_mp_fn=lambda j: mpmath.mpf(1 if j == 2 else 0),
             closed_form=_quadratic_closed,
             max_degree=2,
         )
@@ -262,7 +216,6 @@ def builtin_activation(name: str) -> Activation:
             name="shifted_erf",
             kind="sigmoid_like",
             log_abs_coeff_fn=_shifted_erf_log_abs,
-            coeff_mp_fn=_shifted_erf_coeff_mp,
             closed_form=_shifted_erf_closed,
         )
     if name == "smoothed_hinge":
@@ -270,7 +223,6 @@ def builtin_activation(name: str) -> Activation:
             name="smoothed_hinge",
             kind="relu_like",
             log_abs_coeff_fn=_smoothed_hinge_log_abs,
-            coeff_mp_fn=_smoothed_hinge_coeff_mp,
             closed_form=_smoothed_hinge_closed,
         )
     raise UnknownActivationError(
@@ -385,93 +337,8 @@ def compute_F(act: Activation, k: int, L: float, tol: float = 1e-12) -> Capacity
 
 
 # ---------------------------------------------------------------------------
-# pointwise series evaluation and the shape diagnostic
+# the shape diagnostic
 # ---------------------------------------------------------------------------
-
-def _series_scan(act: Activation, x: float) -> tuple[float, int]:
-    """Estimate peak log-magnitude of |beta_j x^j| and a safe truncation index.
-
-    Works on the cheap float log-coefficients.  Raises ActivationRangeError
-    when terms have not decayed to negligibility within the term cap (the
-    point is outside the series' usable range).
-    """
-    log_ax = math.log(abs(x)) if x != 0 else float("-inf")
-    peak = float("-inf")
-    small_run = 0
-    seen_nonzero = False
-    for j in range(TERM_CAP + 1):
-        lb = act.log_abs_coeff(j)
-        if lb is None:
-            t = float("-inf")
-        else:
-            t = lb + j * log_ax if j > 0 else lb
-            # at x = 0 the terms past j = 0 vanish but still count as small
-            seen_nonzero = True
-        if t > peak:
-            peak = t
-        if seen_nonzero:
-            # e^-55 ~ 1e-24: far below double precision on O(1) values
-            if t < -55.0:
-                small_run += 1
-                if small_run >= 2 * CONVERGENCE_RUN:
-                    return peak, j
-            else:
-                small_run = 0
-    if not seen_nonzero:
-        return float("-inf"), 0
-    raise ActivationRangeError(
-        f"series for {act.name!r} does not decay at x={x!r}; "
-        "outside the numerically reliable range")
-
-
-def taylor_value(act: Activation, x: float) -> float:
-    """Evaluate ``sum_j beta_j x^j`` by truncated summation.
-
-    The float log-coefficients size the sum: they predict the peak term and
-    the truncation index.  Alternating series cancel catastrophically in
-    double precision, so the sum itself runs over ``coeff_mp_fn`` at an
-    mpmath precision adapted to that peak.  Polynomials are summed exactly
-    over their finite support.
-    """
-    return _series_values(act, [x])[0]
-
-
-def _series_values(act: Activation, xs: Sequence[float]) -> list[float]:
-    """:func:`taylor_value` at each point of ``xs``: one mpmath coefficient table
-    per call, at the largest precision needed, and one sum per distinct point."""
-    xs = [float(x) for x in xs]
-    bad = next((x for x in xs if not math.isfinite(x)), None)
-    if bad is not None:
-        raise ActivationRangeError(
-            f"cannot evaluate {act.name!r} at the non-finite point x={bad!r}")
-    if act.max_degree is not None:
-        return [math.fsum(act.coeff(j) * x ** j for j in range(act.max_degree + 1))
-                for x in xs]
-    values, plans = {}, {}  # plans: x -> (digits, cutoff) of an mpmath sum
-    for x in dict.fromkeys(xs):
-        peak, cutoff = _series_scan(act, x)
-        if peak == float("-inf"):
-            values[x] = 0.0
-            continue
-        digits = max(30, int(peak * LOG10E) + 30)
-        if digits > MAX_EVAL_DIGITS:
-            raise ActivationRangeError(
-                f"evaluating {act.name!r} at x={x!r} needs ~{digits} digits, "
-                f"above the {MAX_EVAL_DIGITS}-digit cap")
-        plans[x] = (digits, cutoff)
-    if plans:
-        with mpmath.workdps(max(d for d, _ in plans.values())):
-            coeffs = [act.coeff_mp_fn(j) for j in range(max(c for _, c in plans.values()) + 1)]
-    for x, (digits, cutoff) in plans.items():
-        with mpmath.workdps(digits):
-            mx, power, total = mpmath.mpf(x), mpmath.mpf(1), mpmath.mpf(0)
-            for c in coeffs[:cutoff + 1]:
-                if c:
-                    total += c * power
-                power *= mx
-            values[x] = float(total)
-    return [values[x] for x in xs]
-
 
 @dataclass(frozen=True)
 class ShapeReport:
@@ -494,10 +361,10 @@ def check_shape(act: Activation, grid: Sequence[float],
                 kind: Optional[str] = None) -> ShapeReport:
     """Check the activation's shape contract on a grid of points.
 
-    sigmoid_like: the truncated-series values must be non-decreasing along the
-    grid.  relu_like: the differences ``sigma(x) - sigma(x - 1)`` must be.
-    The grid must be sorted ascending, contain at least two points, and stay
-    inside [-10, 10]; points outside that window raise ActivationRangeError.
+    sigmoid_like: the closed-form values ``sigma(x)`` must be non-decreasing
+    along the grid.  relu_like: the differences ``sigma(x) - sigma(x - 1)``
+    must be.  The grid must be finite, sorted ascending and contain at least
+    two points.
     """
     pts = [float(g) for g in grid]
     if len(pts) < 2:
@@ -513,15 +380,11 @@ def check_shape(act: Activation, grid: Sequence[float],
                            note="polynomial activations carry no shape contract")
     if checked not in ("sigmoid_like", "relu_like"):
         raise ValueError(f"kind must be one of {KINDS}, got {checked!r}")
-    if pts[0] < -10.0 or pts[-1] > 10.0:
-        raise ActivationRangeError(
-            f"grid spans [{pts[0]}, {pts[-1]}]; the shape check is limited to [-10, 10]")
 
     if checked == "sigmoid_like":
-        vals = _series_values(act, pts)
+        vals = [act.evaluate(x) for x in pts]
     else:
-        both = _series_values(act, pts + [x - 1.0 for x in pts])
-        vals = [a - b for a, b in zip(both, both[len(pts):])]
+        vals = [act.evaluate(x) - act.evaluate(x - 1.0) for x in pts]
 
     scale = max(1.0, max(abs(v) for v in vals))
     slack = 1e-12 * scale

@@ -30,8 +30,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .activation import (ActivationRangeError, SeriesDivergenceError,
-                         UnknownActivationError, builtin_activation, compute_F)
+from .activation import (SeriesDivergenceError, UnknownActivationError,
+                         builtin_activation, compute_F)
 from .baseline import LogisticConfig, predict_logistic, train_logistic
 from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS,
                    make_variant, preprocess, read_idx, write_idx)
@@ -56,9 +56,8 @@ class ManifestFormatError(ValueError):
 
 USAGE_ERRORS = (UnknownActivationError, DegenerateClassError, ValueError)
 DATA_ERRORS = (IdxFormatError, GramFormatError, ManifestFormatError, FileNotFoundError)
-NUMERIC_ERRORS = (SeriesDivergenceError, ActivationRangeError,
-                  SolverDivergenceError, NumericalError, ConstructionError,
-                  NormBoundError, OverflowError)
+NUMERIC_ERRORS = (SeriesDivergenceError, SolverDivergenceError, NumericalError,
+                  ConstructionError, NormBoundError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +206,7 @@ def _usable_rows(fds):
 
 
 def _model_payload(pred: OneVsAllPredictor, images, labels, hashes, rows, steps) -> dict:
+    # absolute support paths, so the model evaluates from any directory
     return {
         "format": "reckernel-model-v1",
         "depth": pred.depth,
@@ -215,9 +215,9 @@ def _model_payload(pred: OneVsAllPredictor, images, labels, hashes, rows, steps)
         "classes": list(pred.classes),
         "alphas": [a.tolist() for a in pred.alphas],
         "support": {
-            "images": str(images),
+            "images": os.path.abspath(images),
             "images_sha256": hashes[str(images)],
-            "labels": str(labels),
+            "labels": os.path.abspath(labels),
             "labels_sha256": hashes[str(labels)],
             "rows": [int(r) for r in rows],
             "preprocessing": list(steps),
@@ -226,9 +226,10 @@ def _model_payload(pred: OneVsAllPredictor, images, labels, hashes, rows, steps)
 
 
 def _load_model(path) -> tuple:
-    """The model in ``path`` over its preprocessed support rows, and its
-    preprocessing steps.  A file that is not a model, or whose parts do not
-    fit together, is a data error naming it."""
+    """The model in ``path`` over its preprocessed support rows, its
+    preprocessing steps and its support images' (height, width).  A file that
+    is not a model, or whose parts do not fit together, is a data error
+    naming it."""
     try:
         with open(path, "rb") as f:
             payload = json.load(f)
@@ -273,7 +274,7 @@ def _load_model(path) -> tuple:
         raise IdxFormatError(f"{path}: {e}") from None
     pred = OneVsAllPredictor(support=X, alphas=alphas, classes=classes, depth=depth,
                              budget=budget, loss_kind=loss)
-    return pred, steps
+    return pred, steps, ds.images.shape[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +362,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred, steps = _load_model(args.model)
+    pred, steps, size = _load_model(args.model)
     images, labels = _resolve_idx_pair(args)
     ds = read_idx(images, labels)
     if ds.n == 0:
         raise IdxFormatError(f"{images}: evaluation set is empty")
+    if ds.images.shape[1:] != size:
+        raise IdxFormatError("{}: images are {}x{}, but the model's support images are "
+                             "{}x{}".format(images, *ds.images.shape[1:], *size))
     n_classes = len(pred.classes)
     bad = np.nonzero(ds.labels >= n_classes)[0]
     if bad.size:

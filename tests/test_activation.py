@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -8,11 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reckernel import activation
 from reckernel.activation import (
-    LOG10E,
-    MAX_EVAL_DIGITS,
-    ActivationRangeError,
     Activation,
     LogValue,
     SeriesDivergenceError,
@@ -21,9 +18,6 @@ from reckernel.activation import (
     check_shape,
     compute_F,
     compute_H,
-    taylor_value,
-    _series_scan,
-    _series_values,
 )
 
 QUAD = builtin_activation("quadratic")
@@ -32,50 +26,108 @@ SH = builtin_activation("smoothed_hinge")
 
 ROOT8 = 2.0 * math.sqrt(2.0)
 
+GRID41 = [float(x) for x in np.linspace(-10.0, 10.0, 41)]
+
+
+# ---------------------------------------------------------------------------
+# the signed power series at fixed precision: the oracle for sigma itself
+# ---------------------------------------------------------------------------
+
+#: the largest term on [-11, 10] is about 4e161 (shifted_erf at -11), so
+#: 250 digits leave some 88 below it
+ORACLE_DIGITS = 250
+
+
+@functools.lru_cache(maxsize=None)
+def _coeff_oracle(name, j):
+    """The signed beta_j at ORACLE_DIGITS digits, through mpmath.factorial."""
+    with mpmath.workdps(ORACLE_DIGITS):
+        if name == "quadratic":
+            return mpmath.mpf(1 if j == 2 else 0)
+        if name == "shifted_erf":
+            if j == 0:
+                return mpmath.mpf("0.5")
+            if j % 2 == 0:
+                return mpmath.mpf(0)
+            m = (j - 1) // 2
+            val = mpmath.power(mpmath.pi, m) / (mpmath.factorial(m) * (2 * m + 1))
+        else:
+            if j == 1:
+                return mpmath.mpf("0.5")
+            if j < 2 or j % 2 == 1:
+                return mpmath.mpf(0)
+            m = (j - 2) // 2
+            val = mpmath.power(mpmath.pi, m) / (mpmath.factorial(m) * (2 * m + 1) * (2 * m + 2))
+        return -val if m % 2 else val
+
+
+@functools.lru_cache(maxsize=None)
+def _series_oracle(name, x):
+    """sum_j beta_j x^j at ORACLE_DIGITS digits, stopped after two nonzero
+    terms in a row below 1e-40 (the terms fall monotonically past their peak)."""
+    last = 2 if name == "quadratic" else 4000
+    with mpmath.workdps(ORACLE_DIGITS):
+        mx, power, total, small = mpmath.mpf(x), mpmath.mpf(1), mpmath.mpf(0), 0
+        for j in range(last + 1):
+            c = _coeff_oracle(name, j)
+            if c:
+                term = c * power
+                total += term
+                small = small + 1 if abs(term) < 1e-40 else 0
+                if small == 2:
+                    break
+            power *= mx
+        else:
+            assert name == "quadratic", f"the {name} series has not settled at x={x}"
+        return float(total)
+
 
 # ---------------------------------------------------------------------------
 # coefficients
 # ---------------------------------------------------------------------------
 
 def test_quadratic_coefficients():
-    assert QUAD.coeff(2) == 1.0
+    assert QUAD.log_abs_coeff(2) == 0.0
     for j in (0, 1, 3, 4, 17):
-        assert QUAD.coeff(j) == 0.0
+        assert QUAD.log_abs_coeff(j) is None
 
 
 def test_shifted_erf_coefficients():
-    assert ERF.coeff(0) == 0.5
-    assert ERF.coeff(1) == 1.0  # pi^0 / (0! * 1)
-    assert ERF.coeff(2) == 0.0
-    assert ERF.coeff(3) == pytest.approx(-math.pi / 3.0, rel=1e-15)
-    assert ERF.coeff(5) == pytest.approx(math.pi ** 2 / 10.0, rel=1e-15)
+    assert ERF.log_abs_coeff(0) == math.log(0.5)
+    assert ERF.log_abs_coeff(1) == 0.0  # pi^0 / (0! * 1)
+    assert ERF.log_abs_coeff(2) is None
+    assert math.exp(ERF.log_abs_coeff(3)) == pytest.approx(math.pi / 3.0, rel=1e-15)
+    assert math.exp(ERF.log_abs_coeff(5)) == pytest.approx(math.pi ** 2 / 10.0, rel=1e-15)
+    # the oracle carries the signs the logs drop
+    assert float(_coeff_oracle("shifted_erf", 3)) == pytest.approx(-math.pi / 3.0, rel=1e-15)
+    assert float(_coeff_oracle("shifted_erf", 5)) == pytest.approx(math.pi ** 2 / 10.0, rel=1e-15)
 
 
 def test_smoothed_hinge_coefficients():
-    assert SH.coeff(0) == 0.0
-    assert SH.coeff(1) == 0.5
-    assert SH.coeff(2) == 0.5  # pi^0 / (0! * 1 * 2)
-    assert SH.coeff(3) == 0.0
-    assert SH.coeff(4) == pytest.approx(-math.pi / 12.0, rel=1e-15)
+    assert SH.log_abs_coeff(0) is None
+    assert SH.log_abs_coeff(1) == math.log(0.5)
+    assert SH.log_abs_coeff(2) == math.log(0.5)  # pi^0 / (0! * 1 * 2)
+    assert SH.log_abs_coeff(3) is None
+    assert math.exp(SH.log_abs_coeff(4)) == pytest.approx(math.pi / 12.0, rel=1e-15)
+    assert float(_coeff_oracle("smoothed_hinge", 4)) == pytest.approx(-math.pi / 12.0, rel=1e-15)
 
 
 def test_coefficients_are_deterministic():
     for act in (QUAD, ERF, SH):
         for j in range(40):
-            assert act.coeff(j) == act.coeff(j)
+            assert act.log_abs_coeff(j) == act.log_abs_coeff(j)
 
 
-@pytest.mark.parametrize("act, table", [(ERF, 1808), (SH, 2157)], ids=["shifted_erf", "smoothed_hinge"])
-def test_log_and_mpmath_coefficients_agree(act, table):
-    # every index of the table check_shape builds on the benchmark grid
-    for j in range(table):
-        exact = act.coeff_mp_fn(j)
-        assert act.coeff(j) == float(exact)
+@pytest.mark.parametrize("act", [ERF, SH], ids=["shifted_erf", "smoothed_hinge"])
+def test_log_and_mpmath_coefficients_agree(act):
+    # every index the oracle reads on [-11, 10]: its sum stops by j = 2228
+    for j in range(2230):
+        exact = _coeff_oracle(act.name, j)
         la = act.log_abs_coeff(j)
         assert (la is None) == (exact == 0), j
         if la is not None:
             with mpmath.workdps(30):
-                ref = float(mpmath.log(abs(act.coeff_mp_fn(j))))
+                ref = float(mpmath.log(abs(exact)))
             # the logs reach about -5000, where doubles are 9.1e-13 apart
             assert abs(la - ref) <= 1e-12 * max(1.0, abs(ref)), j
 
@@ -86,9 +138,12 @@ def test_unknown_activation_lists_supported():
 
 
 def test_closed_form_matches_series_pointwise():
-    for act in (ERF, SH):
-        for x in (-2.0, -0.75, -0.1, 0.0, 0.3, 1.5, 2.0):
-            assert taylor_value(act, x) == pytest.approx(act.evaluate(x), abs=1e-11)
+    # the benchmark grid, its unit shifts and random points in [-11, 10]
+    rng = np.random.default_rng(20151)
+    pts = GRID41 + [x - 1.0 for x in GRID41] + list(rng.uniform(-11.0, 10.0, 200))
+    for act in (QUAD, ERF, SH):
+        err = max(abs(act.evaluate(x) - _series_oracle(act.name, x)) for x in pts)
+        assert err <= 1e-14, act.name
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +208,7 @@ def test_h_quadratic_single_term():
 
 
 def test_h_all_zero_series_is_zero():
-    zero = Activation("null", "sigmoid_like", lambda j: None,
-                      lambda j: mpmath.mpf(0), lambda x: 0.0)
+    zero = Activation("null", "sigmoid_like", lambda j: None, lambda x: 0.0)
     assert compute_H(zero, 1.0, 5.0).is_zero
     assert compute_H(zero, 3.0, 0.0).is_zero
 
@@ -204,8 +258,7 @@ def test_h_closed_form_bounds(lam):
 
 
 def test_h_divergence_carries_partial_sum():
-    ones = Activation("ones", "sigmoid_like", lambda j: 0.0,
-                      lambda j: mpmath.mpf(1), lambda x: 1.0 / (1.0 - x))
+    ones = Activation("ones", "sigmoid_like", lambda j: 0.0, lambda x: 1.0 / (1.0 - x))
     with pytest.raises(SeriesDivergenceError) as exc:
         compute_H(ones, 1.0, 1.0)
     assert exc.value.terms_used == 10001
@@ -327,8 +380,8 @@ def test_shape_rejects_bad_grids():
         check_shape(ERF, [0.0])
     with pytest.raises(ValueError):
         check_shape(ERF, [1.0, 0.0])
-    with pytest.raises(ActivationRangeError):
-        check_shape(ERF, [-12.0, 0.0, 12.0])
+    # no window: the closed form holds on the whole line
+    assert check_shape(ERF, [-12.0, 0.0, 12.0]).ok
 
 
 @pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [-math.inf, 0.0], [0.0, math.inf]])
@@ -338,65 +391,9 @@ def test_shape_rejects_non_finite_grid_points(grid):
         check_shape(ERF, grid)
 
 
-def test_taylor_range_error_outside_convergence_radius():
-    geometric = Activation("geometric", "sigmoid_like", lambda j: 0.0,
-                           lambda j: mpmath.mpf(1), lambda x: 1.0 / (1.0 - x))
-    with pytest.raises(ActivationRangeError):
-        taylor_value(geometric, 1.5)
-
-
-@pytest.mark.parametrize("act", [QUAD, ERF, SH], ids=lambda a: a.name)
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_series_rejects_non_finite_points(act, x):
-    # smoothed_hinge used to return 0.0 at NaN, and quadratic NaN at NaN or inf
-    with pytest.raises(ActivationRangeError, match="non-finite point"):
-        taylor_value(act, x)
-    with pytest.raises(ActivationRangeError, match="non-finite point"):
-        _series_values(act, [0.5, x])
-
-
 def test_wide_grid_within_window_is_fine():
     report = check_shape(ERF, [float(x) for x in range(-10, 11)])
     assert report.ok
-
-
-# ---------------------------------------------------------------------------
-# the batched series evaluator against the per-point summation it replaced
-# ---------------------------------------------------------------------------
-
-def _taylor_value_oracle(act, x):
-    """Per-point mpmath summation: every coefficient and power built afresh."""
-    x = float(x)
-    if x == 0.0:
-        return act.coeff(0)
-    peak, cutoff = _series_scan(act, x)
-    if peak == float("-inf"):
-        return 0.0
-    digits = max(30, int(peak * LOG10E) + 30)
-    assert digits <= MAX_EVAL_DIGITS
-    with mpmath.workdps(digits):
-        mx = mpmath.mpf(x)
-        total = mpmath.mpf(0)
-        for j in range(cutoff + 1):
-            c = act.coeff_mp_fn(j)
-            if c:
-                total += c * mx ** j
-        return float(total)
-
-
-GRID41 = [float(x) for x in np.linspace(-10.0, 10.0, 41)]
-
-
-@pytest.mark.parametrize("act", [ERF, SH], ids=lambda a: a.name)
-def test_series_values_match_per_point_oracle(act):
-    rng = np.random.default_rng(20151)
-    pts = GRID41 + [x - 1.0 for x in GRID41] + list(rng.uniform(-11.0, 10.0, 200))
-    got = _series_values(act, pts)
-    want = [_taylor_value_oracle(act, x) for x in pts]
-    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-25
-    # one point alone builds its table at its own precision, so it may differ
-    # from the batched value in the last few of its 30+ digits
-    assert all(abs(taylor_value(act, x) - w) <= 1e-25 for x, w in zip(pts[::17], want[::17]))
 
 
 @pytest.mark.parametrize("act, kind, ok", [
@@ -405,77 +402,10 @@ def test_series_values_match_per_point_oracle(act):
     (SH, "sigmoid_like", True),
     (SH, "relu_like", True),
 ], ids=["erf-sigmoid", "erf-relu", "hinge-sigmoid", "hinge-relu"])
-def test_shape_report_matches_per_point_oracle(act, kind, ok, monkeypatch):
+def test_shape_report_matches_per_point_oracle(act, kind, ok):
     got = check_shape(act, GRID41, kind=kind)
-    monkeypatch.setattr(activation, "_series_values",
-                        lambda a, xs: [_taylor_value_oracle(a, x) for x in xs])
-    want = check_shape(act, GRID41, kind=kind)
+    series = dataclasses.replace(act, closed_form=functools.partial(_series_oracle, act.name))
+    want = check_shape(series, GRID41, kind=kind)
     assert got.ok == want.ok == ok
-    assert got.violations == want.violations
-    assert max(abs(g - w) for g, w in zip(got.values, want.values)) <= 1e-25
-
-
-@pytest.mark.parametrize("act, table", [(ERF, 1808), (SH, 2157)], ids=["shifted_erf", "smoothed_hinge"])
-def test_check_shape_builds_one_coefficient_table(act, table):
-    calls = []
-
-    def counted(j):
-        calls.append(j)
-        return act.coeff_mp_fn(j)
-
-    pts = GRID41 if act.kind == "sigmoid_like" else GRID41 + [x - 1.0 for x in GRID41]
-    cutoff = max(_series_scan(act, x)[1] for x in pts if x != 0.0)
-    check_shape(dataclasses.replace(act, coeff_mp_fn=counted), GRID41)
-    assert cutoff + 1 == table
-    assert len(calls) <= cutoff + 1
-
-
-def test_series_values_rebuild_the_table_in_every_call():
-    # no coefficient table outlives a call, so repeated calls repeat the work
-    calls = []
-
-    def counted(j):
-        calls.append(j)
-        return ERF.coeff_mp_fn(j)
-
-    act = dataclasses.replace(ERF, coeff_mp_fn=counted)
-    once = _series_values(act, [2.5])
-    n = len(calls)
-    assert _series_values(act, [2.5, 2.5, 2.5]) == once * 3
-    assert len(calls) == 2 * n
-
-
-def _shifted_erf_coeff_mp_oracle(j):
-    """beta_j of the shifted erf through mpmath.factorial."""
-    if j == 0:
-        return mpmath.mpf("0.5")
-    if j % 2 == 0:
-        return mpmath.mpf(0)
-    m = (j - 1) // 2
-    val = mpmath.power(mpmath.pi, m) / (mpmath.factorial(m) * (2 * m + 1))
-    return -val if m % 2 else val
-
-
-def _smoothed_hinge_coeff_mp_oracle(j):
-    """beta_j of the smoothed hinge through mpmath.factorial."""
-    if j == 1:
-        return mpmath.mpf("0.5")
-    if j < 2 or j % 2 == 1:
-        return mpmath.mpf(0)
-    m = (j - 2) // 2
-    val = mpmath.power(mpmath.pi, m) / (mpmath.factorial(m) * (2 * m + 1) * (2 * m + 2))
-    return -val if m % 2 else val
-
-
-@pytest.mark.parametrize("act, oracle, digits, table", [
-    (ERF, _shifted_erf_coeff_mp_oracle, 162, 1808),
-    (SH, _smoothed_hinge_coeff_mp_oracle, 189, 2157),
-], ids=["shifted_erf", "smoothed_hinge"])
-def test_coefficient_table_equals_mpmath_factorial_table(act, oracle, digits, table):
-    # the table check_shape builds on the 41-point [-10, 10] grid, at its precision
-    pts = GRID41 if act.kind == "sigmoid_like" else GRID41 + [x - 1.0 for x in GRID41]
-    scans = [_series_scan(act, x) for x in pts if x != 0.0]
-    assert max(max(30, int(peak * LOG10E) + 30) for peak, _ in scans) == digits
-    assert max(cutoff for _, cutoff in scans) + 1 == table
-    with mpmath.workdps(digits):
-        assert [act.coeff_mp_fn(j) for j in range(table)] == [oracle(j) for j in range(table)]
+    assert [v[:2] for v in got.violations] == [v[:2] for v in want.violations]
+    assert max(abs(g - w) for g, w in zip(got.values, want.values)) <= 1e-14

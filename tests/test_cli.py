@@ -272,6 +272,36 @@ def test_eval_refuses_a_support_row_outside_the_file(row, tmp_path, capsys):
                           "into the file's 6 rows")
 
 
+def test_eval_finds_the_support_files_from_another_directory(tmp_path, capsys, monkeypatch):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "sub").mkdir()
+    one_hot_dataset(tmp_path / "data", n=3, per_class=2)
+    monkeypatch.chdir(tmp_path)
+    ip, lp = "data/toy-i.idx", "data/toy-l.idx"
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "1", "--max-iters", "50", "--out-model", "m.json"]) == 0
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(["eval", "--model", "../m.json", "--images", "../" + ip,
+                 "--labels", "../" + lp]) == 0
+    # a model that holds paths relative to its training directory loads from there
+    payload = json.loads((tmp_path / "m.json").read_text())
+    payload["support"].update(images=ip, labels=lp)
+    (tmp_path / "old.json").write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--model", "old.json", "--images", ip, "--labels", lp]) == 0
+
+
+def test_eval_refuses_images_of_another_size_with_exit_3(tmp_path, capsys):
+    _, _, model = _toy_model(tmp_path)  # 28x28 support images
+    small = ImageDataset(np.zeros((4, 20, 20)), np.arange(4) % 3)
+    ip, lp = tmp_path / "s-i.idx", tmp_path / "s-l.idx"
+    write_idx(small, ip, lp)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--images", str(ip), "--labels", str(lp)]) == 3
+    assert capsys.readouterr().err == (f"data error: {ip}: images are 20x20, but the model's "
+                                       "support images are 28x28\n")
+
+
 # each case is the file's bytes, or an edit of a trained model's JSON payload
 MALFORMED_MODELS = {
     "not_json": b"model {",
@@ -342,7 +372,7 @@ def test_eval_preprocesses_only_the_support_rows(tmp_path, capsys, monkeypatch):
         return preprocess(ds, steps)
 
     monkeypatch.setattr(cli, "preprocess", counting)
-    pred, steps = cli._load_model(model)
+    pred, steps, _ = cli._load_model(model)
     assert seen == [11]
     # the features of preprocessing the whole file, then selecting the rows
     whole = preprocess(read_idx(ip, lp), steps).X[np.array(sup["rows"])]
