@@ -146,6 +146,54 @@ def test_closed_form_matches_series_pointwise():
         assert err <= 1e-14, act.name
 
 
+def _term_ratio_table(name, n):
+    """The signed beta_j, j < n, at ORACLE_DIGITS digits without a factorial:
+    the erf's odd terms through the ratio beta_(2m+3) / beta_(2m+1) =
+    -pi (2m+1) / ((m+1)(2m+3)), the hinge as the erf integrated term by term."""
+    with mpmath.workdps(ORACLE_DIGITS):
+        erf = [mpmath.mpf(0)] * (n + 1)
+        erf[0], erf[1] = mpmath.mpf("0.5"), mpmath.mpf(1)
+        for j in range(1, n - 1, 2):
+            m = (j - 1) // 2
+            erf[j + 2] = erf[j] * -mpmath.pi * (2 * m + 1) / ((m + 1) * (2 * m + 3))
+        if name == "shifted_erf":
+            return erf[:n]
+        return [mpmath.mpf(0)] + [erf[j] / (j + 1) for j in range(n - 1)]
+
+
+@pytest.mark.parametrize("act", [ERF, SH], ids=["shifted_erf", "smoothed_hinge"])
+def test_coefficient_table_equals_mpmath_factorial_table(act):
+    # the table the series oracle sums on [-11, 10]: its sum stops by j = 2228
+    table = 2230
+    ratio = _term_ratio_table(act.name, table)
+    with mpmath.workdps(ORACLE_DIGITS):
+        for j in range(table):
+            exact = _coeff_oracle(act.name, j)
+            assert (ratio[j] == 0) == (exact == 0), j
+            # some 2230 roundings at 250 digits stay far below 1e-240
+            assert abs(ratio[j] - exact) <= mpmath.mpf("1e-240") * abs(exact), j
+
+
+def _closed_form_mp(name, x):
+    """sigma(x) from mpmath's erfc at 60 digits; erfc keeps the left tail exact."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        erf = mpmath.erfc(-mpmath.sqrt(mpmath.pi) * x) / 2
+        if name == "shifted_erf":
+            return float(erf)
+        return float(erf * x + (mpmath.exp(-mpmath.pi * x * x) - 1) / (2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("act", [ERF, SH], ids=lambda a: a.name)
+def test_series_values_match_per_point_oracle(act):
+    # on the benchmark grid, its unit shifts and random points; the series
+    # stops at terms below 1e-40, so far-left values agree only absolutely
+    rng = np.random.default_rng(20151)
+    pts = GRID41 + [x - 1.0 for x in GRID41] + list(rng.uniform(-11.0, 10.0, 200))
+    for x in pts:
+        assert abs(_series_oracle(act.name, x) - _closed_form_mp(act.name, x)) <= 1e-25, x
+
+
 # ---------------------------------------------------------------------------
 # LogValue arithmetic
 # ---------------------------------------------------------------------------
