@@ -32,7 +32,6 @@ from .solver import (  # noqa: F401
     SolveReport,
     TrainConfig,
     make_loss,
-    project,
     sample_size,
     train,
     train_multiclass,

@@ -2,10 +2,12 @@
 
 Subcommands: bound, gram, train, eval, variants, hardness-demo, bench, synth.
 Every training or benchmark run writes a JSON manifest capturing the resolved
-configuration, seeds, input fingerprints, and timings (``train`` adds how
-each class's solve ended; ``bench`` adds that per variant and depth, with
-stage times, and its peak RSS, core count and BLAS build); rerunning a
-command with the same flags reproduces its model files byte for byte.
+configuration, seeds, input fingerprints, and timings; rerunning a command
+with the same flags reproduces its model files byte for byte.  ``train`` adds
+how each class's solve ended.  ``bench`` adds its peak RSS, core count, BLAS
+build and ``runs``: one record per fit (each variant's logistic baseline and
+kernel depths) with test and validation error, stage times and each class's
+solve.  ``bench.md`` and ``bench.csv`` are rendered from the same records.
 
 A config file of ``key = value`` lines (``#`` comments allowed) can preset any
 long option of a subcommand; ``train --from-manifest`` presets every option an
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -443,6 +446,8 @@ def cmd_bench(args) -> int:
     if not args.data_dir:
         raise ValueError("--data-dir is required (or set RECKERNEL_DATA_DIR); "
                          "generate data with the synth command first")
+    if not args.variants:
+        raise ValueError("--variants must name at least one variant")
     t0 = time.time()
     splits = {}
     for split, size in (("train", args.train), ("test", args.test), ("val", args.val)):
@@ -451,18 +456,16 @@ def cmd_bench(args) -> int:
             raise FileNotFoundError(
                 f"{ip} not found; run `reckernel synth --out-dir {args.data_dir}` first")
         ds = read_idx(ip, lp)
-        if size > ds.n:
-            raise ValueError(f"requested {size} {split} images but {ip} has {ds.n}")
+        if not 1 <= size <= ds.n:  # an empty split would score NaN
+            raise ValueError(f"--{split} {size}: the {split} split needs 1 to {ds.n} "
+                             f"images, the rows of {ip}")
         splits[split] = ds.subset(np.arange(size))
 
     steps = tuple(args.preprocess)
-    rows = {}
-    timings = {}
-    runs = []
-    capacity = {}
     q = builtin_activation("quadratic")
-    for k in args.ks:
-        capacity[k] = compute_F(q, k, 1.0).value.to_float()
+    capacity = {k: compute_F(q, k, 1.0).value.to_float() for k in args.ks}
+    # one record per fit, in fit order: each variant's baseline, then its depths
+    records = []
     for variant in args.variants:
         tr, te, va = splits["train"], splits["test"], splits["val"]
         if variant != "basic":
@@ -471,38 +474,39 @@ def cmd_bench(args) -> int:
             va = make_variant(va, variant, args.seed + 2)
         t1 = time.time()
         ftr, fte, fva = (preprocess(d, steps) for d in (tr, te, va))
-        t_pre = time.time() - t1
+        t_pre = round(time.time() - t1, 3)
         keep = _usable_rows(ftr)
         X, y = ftr.X[keep], ftr.labels[keep]
-        for k in args.ks:
+        for k in (None, *args.ks):
             t1 = time.time()
-            cfg = TrainConfig(depth=k, budget=args.B, loss=args.loss,
-                              max_iters=args.max_iters)
-            pred = train_multiclass(X, y, cfg)
+            if k is None:
+                method, solve = "logistic regression", []
+                W = train_logistic(X, y, LogisticConfig(n_classes=int(y.max()) + 1,
+                                                        iters=args.baseline_iters))
+                classify = functools.partial(predict_logistic, W)
+            else:
+                method = f"recursive kernel (k={k})"
+                pred = train_multiclass(X, y, TrainConfig(depth=k, budget=args.B, loss=args.loss,
+                                                          max_iters=args.max_iters))
+                classify, solve = pred.classify_many, _solve_records(pred)
             t2 = time.time()
-            err = float((pred.classify_many(fte.X) != fte.labels).mean())
-            val_err = float((pred.classify_many(fva.X) != fva.labels).mean())
+            test_err, val_err = (float((classify(f.X) != f.labels).mean()) for f in (fte, fva))
             t3 = time.time()
-            dt = t3 - t1
-            rows[(f"recursive kernel (k={k})", variant)] = err
-            timings[(f"recursive kernel (k={k})", variant)] = dt
-            # preprocess is the variant's, shared by its depths
-            runs.append({"variant": variant, "k": k,
-                         "seconds": {"preprocess": round(t_pre, 3), "train": round(t2 - t1, 3),
-                                     "classify": round(t3 - t2, 3)},
-                         "solve": _solve_records(pred)})
-            print(f"[{variant}] kernel k={k}: test {100 * err:.2f}% "
-                  f"val {100 * val_err:.2f}% ({dt:.1f}s)")
-        t1 = time.time()
-        W = train_logistic(X, y, LogisticConfig(n_classes=int(y.max()) + 1,
-                                                iters=args.baseline_iters))
-        err = float((predict_logistic(W, fte.X) != fte.labels).mean())
-        dt = time.time() - t1
-        rows[("logistic regression", variant)] = err
-        timings[("logistic regression", variant)] = dt
-        print(f"[{variant}] logistic: test {100 * err:.2f}% ({dt:.1f}s)")
+            # preprocess is the variant's, shared by all its fits
+            records.append({"method": method, "variant": variant, "k": k,
+                            "test_error": test_err, "val_error": val_err,
+                            "seconds": {"preprocess": t_pre, "train": round(t2 - t1, 3),
+                                        "classify": round(t3 - t2, 3)},
+                            "solve": solve})
+            print(f"[{variant}] {method}: test {100 * test_err:.2f}% "
+                  f"val {100 * val_err:.2f}% ({t3 - t1:.1f}s)")
 
-    methods = ["logistic regression"] + [f"recursive kernel (k={k})" for k in args.ks]
+    def runtime(r):
+        return r["seconds"]["train"] + r["seconds"]["classify"]
+
+    # one table row per method in fit order, its cells in variant order
+    fits = len(args.ks) + 1
+    table = [records[j::fits] for j in range(fits)]
     os.makedirs(args.out_dir, exist_ok=True)
     md_path = os.path.join(args.out_dir, "bench.md")
     csv_path = os.path.join(args.out_dir, "bench.csv")
@@ -516,16 +520,17 @@ def cmd_bench(args) -> int:
                 + f"; trained with B = {args.B} as a hyperparameter\n\n")
         f.write("| method | " + " | ".join(args.variants) + " | runtime (s) |\n")
         f.write("|---" * (len(args.variants) + 2) + "|\n")
-        for m in methods:
-            cells = [f"{100 * rows[(m, v)]:.2f}%" for v in args.variants]
-            rt = sum(timings[(m, v)] for v in args.variants)
-            f.write(f"| {m} | " + " | ".join(cells) + f" | {rt:.1f} |\n")
+        for row in table:
+            cells = [f"{100 * r['test_error']:.2f}%" for r in row]
+            f.write(f"| {row[0]['method']} | " + " | ".join(cells)
+                    + f" | {sum(map(runtime, row)):.1f} |\n")
     with open(csv_path, "w") as f:
-        f.write("method,variant,test_error,runtime_s\n")
-        for (m, v), err in sorted(rows.items()):
-            f.write(f"\"{m}\",{v},{err!r},{timings[(m, v)]:.3f}\n")
+        f.write("method,variant,test_error,runtime_s,val_error\n")
+        for r in sorted(records, key=lambda r: (r["method"], r["variant"])):
+            f.write(f"\"{r['method']}\",{r['variant']},{r['test_error']!r},"
+                    f"{runtime(r):.3f},{r['val_error']!r}\n")
     manifest = _manifest("bench", args, {}, {"total": round(time.time() - t0, 3)})
-    manifest.update(_machine(), runs=runs, peak_rss_mb=_peak_rss_mb())
+    manifest.update(_machine(), runs=records, peak_rss_mb=_peak_rss_mb())
     _write_manifest(manifest, os.path.join(args.out_dir, "bench"))
     print(f"table: {md_path}  csv: {csv_path}  total {time.time() - t0:.1f}s")
     return EXIT_OK

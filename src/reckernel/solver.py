@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import KernelStack, cross_kernel_blocks, gram, row_norms
+from .kernel import NORM_TOL, KernelStack, cross_kernel_blocks, gram, row_norms
 
 LOSS_KINDS = ("hinge", "logistic", "squared")
 
@@ -130,20 +130,13 @@ class SolveReport:
     constraint_use: float
 
 
-def project(alpha: np.ndarray, G, B: float) -> np.ndarray:
-    """Exact projection onto the RKHS ball of radius B.
+def _scale_onto_ball(A: np.ndarray, P: np.ndarray, B: float) -> np.ndarray:
+    """Project each row of ``A`` in place onto the RKHS ball of radius B,
+    scaling ``P = A @ G`` alike; returns the quadratic forms before scaling.
 
     Scaling by B / sqrt(alpha' G alpha) is the metric projection because the
     quadratic form is the squared RKHS norm of the represented function.
     """
-    A = np.array(alpha, dtype=float, ndmin=2)
-    _scale_onto_ball(A, A @ np.asarray(G, dtype=float), B)
-    return A.reshape(np.shape(alpha))
-
-
-def _scale_onto_ball(A: np.ndarray, P: np.ndarray, B: float) -> np.ndarray:
-    """Project each row of ``A`` in place, scaling ``P = A @ G`` alike;
-    returns the quadratic forms before scaling."""
     q = np.einsum("ij,ij->i", A, P)
     if q.min() < -1e-8:
         raise NumericalError(f"quadratic form came out {q.min():.3g} < -1e-8; Gram is not PSD")
@@ -155,9 +148,11 @@ def _scale_onto_ball(A: np.ndarray, P: np.ndarray, B: float) -> np.ndarray:
 
 
 def _check_unit_rows(X: np.ndarray):
+    """Refuse rows whose norm is not in [1 - 1e-6, 1 + NORM_TOL]: below, they
+    are not unit-norm; above, the kernel would refuse them."""
     norms = row_norms(X)
     # negated so that NaN norms fail too
-    bad = np.nonzero(~(np.abs(norms - 1.0) <= 1e-6))[0]
+    bad = np.nonzero(~((1.0 - 1e-6 <= norms) & (norms <= 1.0 + NORM_TOL)))[0]
     if bad.size:
         i = int(bad[0])
         kind = "" if math.isfinite(norms[i]) else "non-finite "

@@ -1,20 +1,23 @@
 """Test oracles kept out of the library: the explicit truncated feature map of
 the depth-1 kernel, the dense form of an embedded quadratic network in it, a
 network evaluated one neuron at a time, the one-shot (unblocked) cross-kernel
-scores, the per-image bilinear resampling of rotation and deskew, and
-preprocessing that copies the features at every step.
+scores, the projection of one coefficient vector onto the norm ball, the
+per-image bilinear resampling of rotation and deskew, and preprocessing that
+copies the features at every step.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
 it at a tuple length gives an explicit, independent route to kernel values.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from reckernel.data import FeatureDataset
 from reckernel.kernel import _check_rows, kernel_matrix
+from reckernel.solver import NumericalError
 
 
 class FeatureMapCapacityError(ValueError):
@@ -96,6 +99,18 @@ def forward_loop(net, x) -> float:
 def scores_unblocked(pred, Xe) -> np.ndarray:
     """A predictor's scores from the whole m x n cross-kernel at once."""
     return kernel_matrix(pred.depth, Xe, pred.support, label="evaluation row {}") @ pred.alphas.T
+
+
+def project(alpha, G, B: float) -> np.ndarray:
+    """Exact projection of one coefficient vector onto the RKHS ball of
+    radius B, the reference for ``solver._scale_onto_ball``: scaling by
+    B / sqrt(alpha' G alpha) is the metric projection because the quadratic
+    form is the squared RKHS norm of the represented function."""
+    alpha = np.asarray(alpha, dtype=float)
+    q = float(alpha @ np.asarray(G, dtype=float) @ alpha)
+    if q < -1e-8:
+        raise NumericalError(f"quadratic form came out {q:.3g} < -1e-8; Gram is not PSD")
+    return alpha * (B / math.sqrt(q)) if q > B * B else alpha.copy()
 
 
 def _bilinear(img: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -465,21 +466,31 @@ def test_synth_and_bench_smoke(tmp_path, capsys):
     assert "recursive kernel (k=1)" in csv
 
 
-def test_bench_manifest_records_what_each_fit_used(tmp_path, capsys):
-    data, results = tmp_path / "data", tmp_path / "results"
+@pytest.fixture(scope="module")
+def bench_results(tmp_path_factory):
+    """The output directory of one small bench run: depths 1 and 2 on the
+    basic and rotation variants."""
+    tmp = tmp_path_factory.mktemp("bench")
+    data, results = tmp / "data", tmp / "results"
     assert main(["synth", "--out-dir", str(data), "--train", "60",
                  "--val", "10", "--test", "30"]) == 0
     assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
                  "--test", "30", "--ks", "1,2", "--variants", "basic,rotation",
                  "--max-iters", "30", "--baseline-iters", "5", "--out-dir", str(results)]) == 0
+    return results
+
+
+def test_bench_manifest_records_what_each_fit_used(bench_results):
+    results = bench_results
     manifest = json.loads((results / "bench.manifest.json").read_text())
     assert manifest["peak_rss_mb"] > 0
     assert manifest["nproc"] >= 1
     assert set(manifest["blas"]) == {"name", "version"}
     runs = manifest["runs"]
-    assert [(r["variant"], r["k"]) for r in runs] == [
+    kernel = [r for r in runs if r["method"] != "logistic regression"]
+    assert [(r["variant"], r["k"]) for r in kernel] == [
         ("basic", 1), ("basic", 2), ("rotation", 1), ("rotation", 2)]
-    for r in runs:
+    for r in kernel:
         assert set(r["seconds"]) == {"preprocess", "train", "classify"}
         assert all(v >= 0 for v in r["seconds"].values())
         assert [s["class"] for s in r["solve"]] == list(range(10))
@@ -487,6 +498,67 @@ def test_bench_manifest_records_what_each_fit_used(tmp_path, capsys):
             assert set(s) == {"class", "iterations", "stop_reason", "best_objective",
                               "constraint_use"}
             assert 1 <= s["iterations"] <= 30
+    # each variant's baseline fit comes first; it shares the variant's preprocess time
+    baseline = [r for r in runs if r["method"] == "logistic regression"]
+    assert runs == [baseline[0], *kernel[:2], baseline[1], *kernel[2:]]
+    for r, variant in zip(baseline, ("basic", "rotation")):
+        assert (r["variant"], r["k"], r["solve"]) == (variant, None, [])
+        assert set(r["seconds"]) == {"preprocess", "train", "classify"}
+        assert all(v >= 0 for v in r["seconds"].values())
+        assert all(r["seconds"]["preprocess"] == k["seconds"]["preprocess"]
+                   for k in kernel if k["variant"] == variant)
+
+
+def test_bench_table_csv_and_manifest_agree(bench_results):
+    results = bench_results
+    runs = json.loads((results / "bench.manifest.json").read_text())["runs"]
+    for r in runs:
+        assert 0 <= r["test_error"] <= 1 and 0 <= r["val_error"] <= 1
+    # every variant has exactly one baseline record
+    baseline = [r for r in runs if r["method"] == "logistic regression"]
+    assert sorted(r["variant"] for r in baseline) == ["basic", "rotation"]
+    for r in baseline:
+        assert r["k"] is None and r["solve"] == []
+        assert set(r["seconds"]) == {"preprocess", "train", "classify"}
+    # each table cell is 100 * test_error of its record
+    lines = (results / "bench.md").read_text().splitlines()
+    header = lines.index("| method | basic | rotation | runtime (s) |")
+    table = [line.strip("|").split(" | ") for line in lines[header + 2:]]
+    assert [row[0].strip() for row in table] == [
+        "logistic regression", "recursive kernel (k=1)", "recursive kernel (k=2)"]
+    for method, *cells, _ in table:
+        mine = [r for r in runs if r["method"] == method.strip()]
+        assert [r["variant"] for r in mine] == ["basic", "rotation"]
+        assert [c.strip() for c in cells] == [f"{100 * r['test_error']:.2f}%" for r in mine]
+    # the CSV holds the manifest's errors, one row per record, sorted by (method, variant)
+    rows = list(csv.DictReader((results / "bench.csv").open()))
+    assert list(rows[0]) == ["method", "variant", "test_error", "runtime_s", "val_error"]
+    by_key = {(r["method"], r["variant"]): r for r in runs}
+    assert [(row["method"], row["variant"]) for row in rows] == sorted(by_key)
+    assert len(rows) == len(runs)
+    for row in rows:
+        r = by_key[(row["method"], row["variant"])]
+        assert float(row["test_error"]) == r["test_error"]
+        assert float(row["val_error"]) == r["val_error"]
+        assert float(row["runtime_s"]) == pytest.approx(
+            r["seconds"]["train"] + r["seconds"]["classify"], abs=1e-9)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--test", "0", "--test 0: the test split needs 1 to 30 images"),
+    ("--val", "0", "--val 0: the val split needs 1 to 10 images"),
+    ("--variants", "", "--variants must name at least one variant")])
+def test_bench_refuses_an_empty_split(flag, value, message, tmp_path, capsys):
+    # an empty test or validation split used to score nan% and exit 0
+    data, results = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", "--out-dir", str(data), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
+                 "--test", "30", "--ks", "1", "--variants", "basic", "--max-iters", "30",
+                 "--out-dir", str(results), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not results.exists()
 
 
 def test_data_prefix_expands_to_idx_pair(tmp_path, capsys):

@@ -11,8 +11,8 @@ from reckernel.solver import (
     OneVsAllPredictor,
     SolverDivergenceError,
     TrainConfig,
+    _scale_onto_ball,
     make_loss,
-    project,
     sample_size,
     train,
     train_multiclass,
@@ -20,7 +20,7 @@ from reckernel.solver import (
 
 from conftest import (ellipsoid_oracle, objective_of, random_unit_rows,
                       solver_fixture_set)
-from oracles import scores_unblocked
+from oracles import project, scores_unblocked
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,21 @@ def test_project_rejects_indefinite_form():
         project(np.array([1.0]), G, 1.0)
 
 
+def test_scale_onto_ball_matches_the_projection_oracle():
+    rng = np.random.default_rng(2)
+    G = gram(KernelStack(2), random_unit_rows(rng, 6, 4)).entries
+    A = rng.normal(size=(5, 6)) * np.array([[0.0], [0.01], [0.1], [10.0], [100.0]])
+    B = 1.0
+    forms = np.einsum("ij,ij->i", A, A @ G)
+    assert (forms <= B * B).any() and (forms > B * B).any()  # both branches
+    want = np.array([project(a, G, B) for a in A])
+    P = A @ G
+    q = _scale_onto_ball(A, P, B)
+    assert q == pytest.approx(forms, rel=1e-12)
+    assert np.allclose(A, want, rtol=1e-12, atol=0)
+    assert np.allclose(P, want @ G, rtol=1e-12, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -154,6 +169,26 @@ def test_train_rejects_bad_inputs():
         TrainConfig(depth=1, budget=1.0, max_iters=0)
     with pytest.raises(ValueError):
         TrainConfig(depth=1, budget=1.0, tolerance=0.0)
+
+
+def _with_row_norm(X, i, norm):
+    X = X.copy()
+    X[i] *= norm
+    return X
+
+
+@pytest.mark.parametrize("fit, y", [
+    (train, np.array([1.0, -1.0] * 3)),
+    (train_multiclass, np.array([0, 1, 2] * 2))])
+def test_train_refuses_every_row_the_kernel_would(fit, y):
+    # rows up to 1e-6 above unit norm used to pass this check and then fail in
+    # the kernel with its NormBoundError, whose tolerance is 1e-9
+    X = random_unit_rows(np.random.default_rng(8), 6, 4)
+    cfg = TrainConfig(depth=1, budget=1.0, max_iters=20)
+    with pytest.raises(ValueError, match="training rows must be unit-norm; row 3"):
+        fit(_with_row_norm(X, 3, 1.0 + 5e-7), y, cfg)
+    for norm in (1.0 - 9e-7, 1.0 - 5e-7):  # short of unit norm by rounding: still trains
+        assert fit(_with_row_norm(X, 3, norm), y, cfg).alphas.shape[1] == 6
 
 
 @pytest.mark.parametrize("field, value", [("patience", 0), ("patience", -3),
