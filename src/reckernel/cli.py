@@ -448,6 +448,10 @@ def cmd_bench(args) -> int:
                          "generate data with the synth command first")
     if not args.variants:
         raise ValueError("--variants must name at least one variant")
+    for flag, values in (("--ks", args.ks), ("--variants", args.variants)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:  # it would be fitted twice, into duplicate rows
+            raise ValueError(f"{flag} lists {repeated} more than once")
     t0 = time.time()
     splits = {}
     for split, size in (("train", args.train), ("test", args.test), ("val", args.val)):

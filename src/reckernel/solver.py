@@ -12,6 +12,13 @@ and the incumbent (best objective seen) is returned.  Multiclass runs
 one-vs-all as one batched solve over a shared Gram matrix; binary is its
 one-class case.  Training is deterministic for a fixed config; returned
 predictors are immutable and safe to share across threads.
+
+Each step's one product with the n x n Gram, ``P = A @ G``, is reused while
+the subgradient repeats (``P' = P - eta (S @ G) / n``, ``S @ G`` computed
+once), and recomputed after a change or every ``REFRESH`` such steps: at
+B <= 1 the hinge keeps every pair active, so a solve takes about
+``max_iters / REFRESH`` products.  Results equal the product-per-step rule
+to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ import numpy as np
 from .kernel import NORM_TOL, KernelStack, cross_kernel_blocks, gram, row_norms
 
 LOSS_KINDS = ("hinge", "logistic", "squared")
+
+#: running steps of ``P`` between exact products ``A @ G``, against drift
+REFRESH = 50
 
 
 class SolverDivergenceError(ArithmeticError):
@@ -168,15 +178,21 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
     rows of ``Y`` (C, n), one row of the iterate ``A`` each.  Every rule acts
     per row, and a row that stops leaves the live set.  Returns each row's
     projected incumbent and report.  ``callback(c, t, objective, best)`` runs
-    for every live row at t before any row at t + 1."""
+    for every live row at t before any row at t + 1.
+
+    ``P = A @ G`` is the running product of the module docstring: it steps by
+    the cached ``Q = S @ G`` while every live row's subgradient repeats."""
     (C, n), B = Y.shape, cfg.budget
     loss = make_loss(cfg.loss, B)
     eta0 = cfg.eta0 if cfg.eta0 is not None else B / loss.rho
     live, A, best = np.arange(C), np.zeros((C, n)), np.zeros((C, n))
     best_obj, window_best = np.full(C, math.inf), np.full(C, math.inf)
     iterations, reasons = np.full(C, cfg.max_iters), np.full(C, "max_iters", dtype=object)
+    # A = 0, so P = A @ G = 0; no live row's S is zero, so step 1 is a change
+    P, Q, S_prev, run = np.zeros((C, n)), None, np.zeros((C, n)), 0
     for t in range(1, cfg.max_iters + 1):
-        P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
+        if P is None:
+            P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
         _scale_onto_ball(A, P, B)
         obj = np.mean(loss.value(P, Y), axis=1)
         if not np.all(np.isfinite(obj)):
@@ -200,10 +216,19 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
         if stop.any():
             iterations[live[stop]] = t
             reasons[live[stop]] = np.where(stalled[stop], "window", "zero_subgradient")
-            live, A, Y, S = live[~stop], A[~stop], Y[~stop], S[~stop]
+            live, A, Y, S, P, S_prev = (v[~stop] for v in (live, A, Y, S, P, S_prev))
+            Q = None if Q is None else Q[~stop]
             if not live.size:
                 break
-        A = A - (eta0 / math.sqrt(t)) * (S / n)
+        eta = eta0 / math.sqrt(t)
+        A = A - eta * (S / n)
+        # while S repeats, P advances by the cached Q = S @ G, as A does by S
+        if not np.array_equal(S, S_prev):
+            Q = None
+        elif Q is None:
+            Q = S @ G
+        P, run = (P - eta * (Q / n), run + 1) if Q is not None and run < REFRESH else (None, 0)
+        S_prev = S
     q = _scale_onto_ball(best, best @ G, B)
     use = q / (B * B) if B > 0 else np.zeros(C)  # at B = 0 the ball is the zero function
     return best, tuple(SolveReport(int(k), str(r), float(o), min(float(u), 1.0))

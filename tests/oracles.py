@@ -2,8 +2,9 @@
 the depth-1 kernel, the dense form of an embedded quadratic network in it, a
 network evaluated one neuron at a time, the one-shot (unblocked) cross-kernel
 scores, the projection of one coefficient vector onto the norm ball, the
-per-image bilinear resampling of rotation and deskew, and preprocessing that
-copies the features at every step.
+solver loop that recomputes ``A @ G`` at every step, the per-image bilinear
+resampling of rotation and deskew, and preprocessing that copies the
+features at every step.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -17,7 +18,8 @@ import numpy as np
 
 from reckernel.data import FeatureDataset
 from reckernel.kernel import _check_rows, kernel_matrix
-from reckernel.solver import NumericalError
+from reckernel.solver import (NumericalError, SolveReport, SolverDivergenceError,
+                              _scale_onto_ball, make_loss)
 
 
 class FeatureMapCapacityError(ValueError):
@@ -111,6 +113,49 @@ def project(alpha, G, B: float) -> np.ndarray:
     if q < -1e-8:
         raise NumericalError(f"quadratic form came out {q:.3g} < -1e-8; Gram is not PSD")
     return alpha * (B / math.sqrt(q)) if q > B * B else alpha.copy()
+
+
+def minimize_on_gram(G, Y, cfg, callback=None):
+    """``solver._minimize_on_gram`` with one product ``P = A @ G`` at every
+    step, the reference for the running product that the solver keeps."""
+    (C, n), B = Y.shape, cfg.budget
+    loss = make_loss(cfg.loss, B)
+    eta0 = cfg.eta0 if cfg.eta0 is not None else B / loss.rho
+    live, A, best = np.arange(C), np.zeros((C, n)), np.zeros((C, n))
+    best_obj, window_best = np.full(C, math.inf), np.full(C, math.inf)
+    iterations, reasons = np.full(C, cfg.max_iters), np.full(C, "max_iters", dtype=object)
+    for t in range(1, cfg.max_iters + 1):
+        P = A @ G
+        _scale_onto_ball(A, P, B)
+        obj = np.mean(loss.value(P, Y), axis=1)
+        if not np.all(np.isfinite(obj)):
+            i = int(np.argmin(np.isfinite(obj)))
+            norm = float(np.linalg.norm(A[i]))
+            raise SolverDivergenceError(f"class {live[i]}: objective became {obj[i]} at "
+                                        f"iteration {t} (|alpha| = {norm:.3g})", t, obj[i], norm)
+        better = obj < best_obj[live]
+        best_obj[live[better]], best[live[better]] = obj[better], A[better]
+        if callback is not None:
+            for c, o, b in zip(live.tolist(), obj.tolist(), best_obj[live].tolist()):
+                callback(c, t, o, b)
+        stalled = np.zeros(len(live), dtype=bool)
+        if t % cfg.patience == 0:
+            prev, window_best[live] = window_best[live], best_obj[live]
+            stalled = np.isfinite(prev) & (
+                prev - best_obj[live] <= cfg.tolerance * np.maximum(np.abs(prev), 1e-12))
+        S = loss.subgradient(P, Y)
+        stop = stalled | ~S.any(axis=1)
+        if stop.any():
+            iterations[live[stop]] = t
+            reasons[live[stop]] = np.where(stalled[stop], "window", "zero_subgradient")
+            live, A, Y, S = live[~stop], A[~stop], Y[~stop], S[~stop]
+            if not live.size:
+                break
+        A = A - (eta0 / math.sqrt(t)) * (S / n)
+    q = _scale_onto_ball(best, best @ G, B)
+    use = q / (B * B) if B > 0 else np.zeros(C)
+    return best, tuple(SolveReport(int(k), str(r), float(o), min(float(u), 1.0))
+                       for k, r, o, u in zip(iterations, reasons, best_obj, use))
 
 
 def _bilinear(img: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:

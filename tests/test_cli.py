@@ -561,6 +561,22 @@ def test_bench_refuses_an_empty_split(flag, value, message, tmp_path, capsys):
     assert not results.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ks", "1,4,1", "--ks lists 1 more than once"),
+    ("--variants", "basic,rotation,basic", "--variants lists basic more than once")])
+def test_bench_refuses_a_repeated_value(flag, value, message, tmp_path, capsys):
+    # a repeated depth used to be fitted twice, into two identical table and CSV rows
+    data, results = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", "--out-dir", str(data), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
+                 "--test", "30", "--ks", "1", "--variants", "basic", "--max-iters", "30",
+                 "--out-dir", str(results), flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not results.exists()
+
+
 def test_data_prefix_expands_to_idx_pair(tmp_path, capsys):
     imgs = np.zeros((4, 28, 28))
     for i in range(4):

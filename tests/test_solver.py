@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from reckernel.kernel import ROW_BLOCK, KernelStack, NormBoundError, gram
 from reckernel.solver import (
+    REFRESH,
     DegenerateClassError,
     OneVsAllPredictor,
     SolverDivergenceError,
     TrainConfig,
+    _minimize_on_gram,
     _scale_onto_ball,
     make_loss,
     sample_size,
@@ -20,7 +23,7 @@ from reckernel.solver import (
 
 from conftest import (ellipsoid_oracle, objective_of, random_unit_rows,
                       solver_fixture_set)
-from oracles import project, scores_unblocked
+from oracles import minimize_on_gram, project, scores_unblocked
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,108 @@ def test_solver_matches_feasible_region_oracle(name, X, y, kind, B, cfg):
     got = objective_of(X, y, kind, B, a, depth=cfg.depth)
     assert abs(got - oracle) <= 1e-3, f"{name}: solver {got} vs oracle {oracle}"
     assert a @ G @ a <= B * B * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the running product P = A @ G
+# ---------------------------------------------------------------------------
+
+class CountingGram(np.ndarray):
+    """A Gram matrix that counts the matrix products taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingGram.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def _one_vs_all(labels, n_classes):
+    return np.where(np.arange(n_classes)[:, None] == labels[None, :], 1.0, -1.0)
+
+
+def _random_problem():
+    rng = np.random.default_rng(3)
+    G = gram(KernelStack(1), random_unit_rows(rng, 300, 8)).entries
+    return G, _one_vs_all(rng.integers(0, 3, 300), 3)
+
+
+def _stops_mid_run():
+    """Three one-vs-all problems on a hand-made Gram.  While every pair is
+    active, class 0's three margins grow at one rate (1.4 per unit of summed
+    step) and classes 1 and 2's at 1, 1 and 0.6, so class 0 stops on a zero
+    subgradient while the other two subgradients still repeat."""
+    a = -0.2
+    G = np.array([[1.0, a, a], [a, 1.0, -a], [a, -a, 1.0]])
+    return G, _one_vs_all(np.arange(3), 3)
+
+
+SAME_SOLVE_CASES = {
+    **{f"hinge-B{B}": (_random_problem, {"budget": B}) for B in (0.0, 0.5, 1.0, 10.0)},
+    "logistic": (_random_problem, {"budget": 2.0, "loss": "logistic"}),
+    "squared": (_random_problem, {"budget": 2.0, "loss": "squared"}),
+    "zero-subgradient-mid-run": (_stops_mid_run, {"budget": 10.0, "eta0": 0.1}),
+    "window": (_random_problem, {"budget": 2.0, "max_iters": 5000, "patience": 7}),
+}
+
+
+def _config(**fields):
+    return TrainConfig(**{"depth": 1, "max_iters": 400, "patience": 401, **fields})
+
+
+@pytest.mark.parametrize("case", SAME_SOLVE_CASES)
+def test_running_product_matches_the_per_step_oracle(case):
+    problem, fields = SAME_SOLVE_CASES[case]
+    G, Y = problem()
+    cfg = _config(**fields)
+    got, reports = _minimize_on_gram(G, Y, cfg)
+    want, want_reports = minimize_on_gram(G, Y, cfg)
+    assert ([(r.iterations, r.stop_reason) for r in reports]
+            == [(r.iterations, r.stop_reason) for r in want_reports])
+    for a, b, r, w in zip(got, want, reports, want_reports):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert r.best_objective == pytest.approx(w.best_objective, rel=1e-12, abs=0)
+        assert r.constraint_use == pytest.approx(w.constraint_use, rel=1e-12, abs=0)
+
+
+def test_a_cached_product_outlives_a_class_stopping():
+    # the fixture of the zero-subgradient-mid-run case does what it says
+    G, Y = _stops_mid_run()
+    products = {}
+    CountingGram.products = 0
+    _, reports = _minimize_on_gram(
+        G.view(CountingGram), Y, _config(budget=10.0, eta0=0.1),
+        lambda c, t, obj, best: products.setdefault(t, CountingGram.products))
+    t = reports[0].iterations
+    assert reports[0].stop_reason == "zero_subgradient" and t < 400
+    assert [r.stop_reason for r in reports[1:]] == ["max_iters", "max_iters"]
+    # no product from step t - 1 to step t + 1: P moved by a cached Q before
+    # class 0 stopped, and by its slice after
+    assert products[t - 1] == products[t] == products[t + 1]
+
+
+def test_running_objectives_match_the_oracle_at_every_step():
+    # the callback objective is computed from the running P, so this bounds
+    # its drift from A @ G at every step, between refreshes too
+    G, Y = _random_problem()
+    cfg = _config(budget=1.0)
+    got, want = [], []
+    _minimize_on_gram(G, Y, cfg, lambda c, t, obj, best: got.append((c, t, obj)))
+    minimize_on_gram(G, Y, cfg, lambda c, t, obj, best: want.append((c, t, obj)))
+    assert [k[:2] for k in got] == [k[:2] for k in want] and len(got) == 3 * 400
+    np.testing.assert_allclose([k[2] for k in got], [k[2] for k in want], rtol=1e-12, atol=0)
+
+
+def test_binding_hinge_solve_reuses_the_gram_product():
+    # at B <= 1 every hinge pair is active, so the subgradient is -Y at every
+    # step; one product per step would make 301
+    G, Y = _random_problem()
+    CountingGram.products = 0
+    _, reports = _minimize_on_gram(G.view(CountingGram), Y,
+                                   _config(budget=1.0, max_iters=300))
+    assert [r.iterations for r in reports] == [300] * 3
+    assert CountingGram.products <= math.ceil(300 / REFRESH) + 3
 
 
 # ---------------------------------------------------------------------------
