@@ -13,6 +13,7 @@ capacity arithmetic runs in the log domain (:class:`LogValue`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -67,9 +68,9 @@ class LogValue:
     """A nonnegative real carried as its natural log; zero is a log of -inf.
 
     Needed because capacity values overflow floats already at two composition
-    levels for saturating activations.  Addition and multiplication are exact
-    to relative error <= 1e-12 per operation (they reduce to log-sum-exp and
-    log addition on IEEE doubles).  A NaN log is refused.
+    levels for saturating activations.  The capacity sums run on the logs
+    themselves (:func:`_logaddexp`); this type carries the results and orders
+    them.  A NaN log is refused.
     """
 
     log_magnitude: float
@@ -79,33 +80,10 @@ class LogValue:
             raise ValueError("LogValue cannot hold NaN")
 
     @staticmethod
-    def zero() -> "LogValue":
-        return LogValue(-math.inf)
-
-    @staticmethod
     def from_float(x: float) -> "LogValue":
         if not x >= 0:
             raise ValueError(f"LogValue holds nonnegative reals, got {x}")
         return LogValue(math.log(x) if x else -math.inf)
-
-    @staticmethod
-    def from_log(log_magnitude: float) -> "LogValue":
-        return LogValue(float(log_magnitude))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_magnitude == -math.inf
-
-    def add(self, other: "LogValue") -> "LogValue":
-        return LogValue(_logaddexp(self.log_magnitude, other.log_magnitude))
-
-    def mul(self, other: "LogValue") -> "LogValue":
-        if self.is_zero or other.is_zero:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude + other.log_magnitude)
-
-    def sqrt(self) -> "LogValue":
-        return LogValue(0.5 * self.log_magnitude)
 
     def to_float(self) -> float:
         try:
@@ -116,9 +94,6 @@ class LogValue:
     @property
     def log10(self) -> float:
         return self.log_magnitude * LOG10E
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self.log_magnitude <= other.log_magnitude
 
     def __lt__(self, other: "LogValue") -> bool:
         return self.log_magnitude < other.log_magnitude
@@ -161,6 +136,16 @@ class Activation:
     def evaluate(self, x: float) -> float:
         """Pointwise value through the closed form."""
         return self.closed_form(float(x))
+
+
+def transfer(act: Activation, x: float) -> float:
+    """The saturating transfer of a sigmoid-like or relu-like activation:
+    ``sigma(x)`` for the first, the unit difference ``sigma(x) - sigma(x - 1)``
+    for the second.  Both rise from 0 to 1; polynomial activations do not
+    saturate, and callers refuse them before asking."""
+    if act.kind == "relu_like":
+        return act.evaluate(x) - act.evaluate(x - 1.0)
+    return act.evaluate(x)
 
 
 def _quadratic_closed(x: float) -> float:
@@ -350,7 +335,6 @@ class ShapeReport:
     values: tuple[float, ...]
     #: (x_left, x_right, value_left, value_right) for each observed descent
     violations: tuple[tuple[float, float, float, float], ...]
-    note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -361,10 +345,11 @@ def check_shape(act: Activation, grid: Sequence[float],
                 kind: Optional[str] = None) -> ShapeReport:
     """Check the activation's shape contract on a grid of points.
 
-    sigmoid_like: the closed-form values ``sigma(x)`` must be non-decreasing
-    along the grid.  relu_like: the differences ``sigma(x) - sigma(x - 1)``
-    must be.  The grid must be finite, sorted ascending and contain at least
-    two points.
+    The :func:`transfer` values must be non-decreasing along the grid:
+    ``sigma(x)`` for sigmoid_like, ``sigma(x) - sigma(x - 1)`` for relu_like.
+    Polynomial activations carry no shape contract.  ``kind`` checks a copy
+    of the activation of that kind instead.  The grid must be finite, sorted
+    ascending and contain at least two points.
     """
     pts = [float(g) for g in grid]
     if len(pts) < 2:
@@ -374,17 +359,11 @@ def check_shape(act: Activation, grid: Sequence[float],
         raise ValueError(f"grid has a non-finite point at index {bad}: {pts[bad]!r}")
     if any(b < a for a, b in zip(pts, pts[1:])):
         raise ValueError("grid must be sorted ascending")
-    checked = kind if kind is not None else act.kind
-    if checked == "polynomial":
-        return ShapeReport(act.name, None, tuple(pts), (), (),
-                           note="polynomial activations carry no shape contract")
-    if checked not in ("sigmoid_like", "relu_like"):
-        raise ValueError(f"kind must be one of {KINDS}, got {checked!r}")
-
-    if checked == "sigmoid_like":
-        vals = [act.evaluate(x) for x in pts]
-    else:
-        vals = [act.evaluate(x) - act.evaluate(x - 1.0) for x in pts]
+    if kind is not None:
+        act = dataclasses.replace(act, kind=kind)
+    if act.kind == "polynomial":
+        return ShapeReport(act.name, None, tuple(pts), (), ())
+    vals = [transfer(act, x) for x in pts]
 
     scale = max(1.0, max(abs(v) for v in vals))
     slack = 1e-12 * scale
@@ -393,4 +372,4 @@ def check_shape(act: Activation, grid: Sequence[float],
         for i in range(len(pts) - 1)
         if vals[i + 1] < vals[i] - slack
     )
-    return ShapeReport(act.name, checked, tuple(pts), tuple(vals), violations)
+    return ShapeReport(act.name, act.kind, tuple(pts), tuple(vals), violations)

@@ -198,6 +198,8 @@ def _resolve_idx_pair(args) -> tuple:
 
 
 def _load_features(images, labels, steps, limit=None):
+    if limit is not None and limit < 1:
+        raise ValueError(f"--limit {limit}: needs at least 1 row")
     ds = read_idx(images, labels)
     if limit is not None and limit < ds.n:
         ds = ds.subset(np.arange(limit))
@@ -446,9 +448,10 @@ def cmd_bench(args) -> int:
     if not args.data_dir:
         raise ValueError("--data-dir is required (or set RECKERNEL_DATA_DIR); "
                          "generate data with the synth command first")
-    if not args.variants:
-        raise ValueError("--variants must name at least one variant")
-    for flag, values in (("--ks", args.ks), ("--variants", args.variants)):
+    for flag, values, what in (("--ks", args.ks, "depth"),
+                               ("--variants", args.variants, "variant")):
+        if not values:
+            raise ValueError(f"{flag} must name at least one {what}")
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:  # it would be fitted twice, into duplicate rows
             raise ValueError(f"{flag} lists {repeated} more than once")
@@ -467,7 +470,8 @@ def cmd_bench(args) -> int:
 
     steps = tuple(args.preprocess)
     q = builtin_activation("quadratic")
-    capacity = {k: compute_F(q, k, 1.0).value.to_float() for k in args.ks}
+    # F(k, L) is defined from k = 1; depth 0, the plain inner product, is fitted all the same
+    capacity = {k: compute_F(q, k, 1.0).value.to_float() for k in args.ks if k >= 1}
     # one record per fit, in fit order: each variant's baseline, then its depths
     records = []
     for variant in args.variants:
@@ -520,7 +524,7 @@ def cmd_bench(args) -> int:
         f.write(f"n_train = {args.train}, n_test = {args.test}, B = {args.B}, "
                 f"loss = {args.loss}, seed = {args.seed}\n\n")
         f.write("capacity reference (quadratic activation, L = 1): "
-                + ", ".join(f"F({k}, 1) = {capacity[k]:.4g}" for k in args.ks)
+                + (", ".join(f"F({k}, 1) = {v:.4g}" for k, v in capacity.items()) or "none")
                 + f"; trained with B = {args.B} as a hyperparameter\n\n")
         f.write("| method | " + " | ".join(args.variants) + " | runtime (s) |\n")
         f.write("|---" * (len(args.variants) + 2) + "|\n")

@@ -8,6 +8,7 @@ deskew, per-image mean centering, and l2 normalization.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,6 +26,12 @@ PREPROCESS_STEPS = ("deskew", "center", "normalize")
 #: rotation and deskew resample this many images at a time (cf. kernel.ROW_BLOCK)
 IMAGE_BLOCK = 64
 
+#: background patches: coarse noise on a NOISE_GRID x NOISE_GRID lattice,
+#: upsampled, thresholded at NOISE_THRESHOLD and drawn at NOISE_AMPLITUDE
+NOISE_GRID = 5
+NOISE_THRESHOLD = 0.7
+NOISE_AMPLITUDE = 0.4
+
 
 class IdxFormatError(ValueError):
     """An IDX file violates the container format."""
@@ -39,8 +46,9 @@ class ImageDataset:
     tag: str = "basic"
 
     def __post_init__(self):
-        imgs = np.asarray(self.images, dtype=float)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        # read-only views: no copy, and the caller's arrays keep their flags
+        imgs = np.asarray(self.images, dtype=float).view()
+        labs = np.asarray(self.labels, dtype=np.int64).view()
         if imgs.ndim != 3:
             raise ValueError(f"images must be (n, h, w), got shape {imgs.shape}")
         if labs.shape != (imgs.shape[0],):
@@ -73,8 +81,8 @@ class FeatureDataset:
     flagged_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        X = np.asarray(self.X, dtype=float).view()
+        labs = np.asarray(self.labels, dtype=np.int64).view()
         X.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -86,7 +94,9 @@ class FeatureDataset:
 
 
 # ---------------------------------------------------------------------------
-# IDX container
+# IDX container: per file a big-endian uint32 magic, whose low byte is the
+# number of dimensions, then each dimension as a big-endian uint32, then one
+# byte per entry
 # ---------------------------------------------------------------------------
 
 def _read_be32(blob: bytes, offset: int, path) -> int:
@@ -99,53 +109,36 @@ def _read_be32(blob: bytes, offset: int, path) -> int:
 
 def read_idx(images_path, labels_path) -> ImageDataset:
     """Parse an images/labels IDX pair; pixel bytes are scaled by 1/255."""
-    with open(images_path, "rb") as f:
-        iblob = f.read()
-    with open(labels_path, "rb") as f:
-        lblob = f.read()
-
-    magic = _read_be32(iblob, 0, images_path)
-    if magic != IMAGES_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: bad magic 0x{magic:08x} at byte offset 0, "
-            f"expected 0x{IMAGES_MAGIC:08x}")
-    n = _read_be32(iblob, 4, images_path)
-    h = _read_be32(iblob, 8, images_path)
-    w = _read_be32(iblob, 12, images_path)
-    want = 16 + n * h * w
-    if len(iblob) != want:
-        raise IdxFormatError(
-            f"{images_path}: payload of {len(iblob) - 16} bytes from offset 16, "
-            f"expected {n * h * w} for {n} images of {h}x{w}")
-
-    lmagic = _read_be32(lblob, 0, labels_path)
-    if lmagic != LABELS_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: bad magic 0x{lmagic:08x} at byte offset 0, "
-            f"expected 0x{LABELS_MAGIC:08x}")
-    ln = _read_be32(lblob, 4, labels_path)
-    if len(lblob) != 8 + ln:
-        raise IdxFormatError(
-            f"{labels_path}: payload of {len(lblob) - 8} bytes from offset 8, "
-            f"expected {ln}")
-    if ln != n:
-        raise IdxFormatError(
-            f"count mismatch: {n} images in {images_path} but {ln} labels in {labels_path}")
-
-    images = np.frombuffer(iblob, dtype=np.uint8, offset=16).reshape(n, h, w) / 255.0
-    labels = np.frombuffer(lblob, dtype=np.uint8, offset=8).astype(np.int64)
-    return ImageDataset(images=images, labels=labels)
+    arrays = []
+    for path, magic in ((images_path, IMAGES_MAGIC), (labels_path, LABELS_MAGIC)):
+        with open(path, "rb") as f:
+            blob = f.read()
+        got = _read_be32(blob, 0, path)
+        if got != magic:
+            raise IdxFormatError(
+                f"{path}: bad magic 0x{got:08x} at byte offset 0, expected 0x{magic:08x}")
+        start = 4 + 4 * (magic & 0xFF)
+        shape = tuple(_read_be32(blob, i, path) for i in range(4, start, 4))
+        size = math.prod(shape)
+        if len(blob) != start + size:
+            raise IdxFormatError(
+                f"{path}: payload of {len(blob) - start} bytes from offset {start}, "
+                f"expected {size} for shape {'x'.join(map(str, shape))}")
+        arrays.append(np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(shape))
+    images, labels = arrays
+    if len(labels) != len(images):
+        raise IdxFormatError(f"count mismatch: {len(images)} images in {images_path} "
+                             f"but {len(labels)} labels in {labels_path}")
+    return ImageDataset(images=images / 255.0, labels=labels.astype(np.int64))
 
 
 def write_idx(ds: ImageDataset, images_path, labels_path) -> None:
     """Write the dataset as an IDX pair (pixels quantized to bytes)."""
-    n, h, w = ds.images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGES_MAGIC, n, h, w))
-        f.write(np.round(ds.images * 255.0).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABELS_MAGIC, n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
+    for path, magic, payload in ((images_path, IMAGES_MAGIC, np.round(ds.images * 255.0)),
+                                 (labels_path, LABELS_MAGIC, ds.labels)):
+        with open(path, "wb") as f:
+            f.write(struct.pack(f">{1 + payload.ndim}I", magic, *payload.shape))
+            f.write(payload.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +233,24 @@ def deskew(img: np.ndarray) -> np.ndarray:
 # variants
 # ---------------------------------------------------------------------------
 
-def _noise_patches(rng: np.random.Generator, n: int, h: int, w: int,
-                   grid: int = 5, threshold: float = 0.7,
-                   amplitude: float = 0.4) -> np.ndarray:
+def _noise_patches(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
     """Two-tone low-frequency backgrounds: coarse noise upsampled and
     thresholded, at an amplitude below typical stroke brightness so the
     per-pixel max composition keeps digits visible."""
-    coarse = rng.random((n, grid, grid))
-    rows = np.linspace(0, grid - 1, h)
-    cols = np.linspace(0, grid - 1, w)
+    coarse = rng.random((n, NOISE_GRID, NOISE_GRID))
+    rows = np.linspace(0, NOISE_GRID - 1, h)
+    cols = np.linspace(0, NOISE_GRID - 1, w)
     r0 = np.floor(rows).astype(int)
     c0 = np.floor(cols).astype(int)
-    r1 = np.minimum(r0 + 1, grid - 1)
-    c1 = np.minimum(c0 + 1, grid - 1)
+    r1 = np.minimum(r0 + 1, NOISE_GRID - 1)
+    c1 = np.minimum(c0 + 1, NOISE_GRID - 1)
     fr = (rows - r0)[None, :, None]
     fc = (cols - c0)[None, None, :]
     up = ((1 - fr) * (1 - fc) * coarse[:, r0][:, :, c0]
           + (1 - fr) * fc * coarse[:, r0][:, :, c1]
           + fr * (1 - fc) * coarse[:, r1][:, :, c0]
           + fr * fc * coarse[:, r1][:, :, c1])
-    return amplitude * (up > threshold).astype(float)
+    return NOISE_AMPLITUDE * (up > NOISE_THRESHOLD).astype(float)
 
 
 def make_variant(ds: ImageDataset, kind: str, seed: int,

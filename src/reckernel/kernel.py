@@ -142,8 +142,8 @@ def kernel_eval(stack: KernelStack, x, y) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be 1-d vectors of equal length, got {x.shape}, {y.shape}")
     # kernel_matrix checks only its first operand; x is checked here, first
     _check_rows(x[None, :], "x")
     return float(kernel_matrix(stack.depth, y, x, label="y")[0, 0])
@@ -159,9 +159,6 @@ class GramMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
 
 def gram(stack: KernelStack, X) -> GramMatrix:

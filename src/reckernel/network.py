@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import Activation, builtin_activation
+from .activation import Activation, builtin_activation, transfer
 
 
 class NetworkStructureError(ValueError):
@@ -49,7 +49,8 @@ class NeuralNet:
             raise NetworkStructureError(
                 "a network needs at least one hidden layer "
                 "(two weight matrices: hidden and output)")
-        mats = tuple(np.asarray(W, dtype=float) for W in self.weights)
+        # read-only views: no copy, and the caller's arrays keep their flags
+        mats = tuple(np.asarray(W, dtype=float).view() for W in self.weights)
         for p, W in enumerate(mats):
             if W.ndim != 2:
                 raise NetworkStructureError(f"weight matrix has shape {W.shape}, expected 2-d")
@@ -210,8 +211,8 @@ class HalfspaceFamily:
     budget: int
 
     def __post_init__(self):
-        W = np.asarray(self.weights, dtype=np.int64)
-        b = np.asarray(self.offsets, dtype=np.int64)
+        W = np.asarray(self.weights, dtype=np.int64).view()
+        b = np.asarray(self.offsets, dtype=np.int64).view()
         if W.ndim != 2 or b.shape != (W.shape[0],):
             raise ValueError(f"weights {W.shape} and offsets {b.shape} are inconsistent")
         cost = np.abs(b) + np.abs(W).sum(axis=1)
@@ -253,14 +254,20 @@ def random_halfspace_family(d: int, T: int, budget: int, seed: int) -> Halfspace
     return HalfspaceFamily(weights=np.array(rows), offsets=np.array(offs), budget=budget)
 
 
+def _labels(hs: HalfspaceFamily, X) -> np.ndarray:
+    """The intersection's label of x, or of each row of x, in {-1,1}^d: +1
+    when every halfspace fires, else -1.  ``w.x - b`` is an integer, so
+    ``w.x - b - 1/2`` is never zero and the halfspace fires when ``w.x - b >= 1``."""
+    fires = np.asarray(X, dtype=np.int64) @ hs.weights.T - hs.offsets >= 1
+    return np.where(np.all(fires, axis=-1), 1, -1)
+
+
 def eval_halfspaces(hs: HalfspaceFamily, x) -> int:
     """+1 when every halfspace fires on x in {-1,1}^d, else -1."""
     x = np.asarray(x)
     if x.shape != (hs.dim,) or not np.all(np.abs(x) == 1):
         raise ValueError(f"x must lie in {{-1,1}}^{hs.dim}")
-    g = hs.weights @ x.astype(np.int64) - hs.offsets
-    # integer g, so g - 1/2 is never zero: the indicator is g >= 1
-    return 1 if bool(np.all(g >= 1)) else -1
+    return int(_labels(hs, x))
 
 
 def extend_input(x) -> np.ndarray:
@@ -270,16 +277,12 @@ def extend_input(x) -> np.ndarray:
     return np.concatenate((x, np.ones(x.shape[:-1] + (1,))), axis=-1) / math.sqrt(x.shape[-1] + 1)
 
 
-def _saturation(act: Activation, v: float) -> float:
-    """Transfer used by the construction: the activation itself for
-    sigmoid-like shapes, the unit difference for relu-like ones.  Polynomial
-    activations do not saturate and raise ConstructionError."""
+def _require_saturating(act: Activation) -> None:
+    """The construction needs :func:`~reckernel.activation.transfer` to
+    saturate; polynomial activations do not and raise ConstructionError."""
     if act.kind == "polynomial":
         raise ConstructionError(
             f"activation {act.name!r} does not saturate; need sigmoid-like or relu-like")
-    if act.kind == "relu_like":
-        return act.evaluate(v) - act.evaluate(v - 1.0)
-    return act.evaluate(v)
 
 
 def select_margin_param(act: Activation, T: int) -> float:
@@ -290,10 +293,11 @@ def select_margin_param(act: Activation, T: int) -> float:
     the saturated region.  s halves the 1/(4T) requirement, buying margin for
     the constant neuron.
     """
+    _require_saturating(act)
     s = 1.0 / (8.0 * T)
 
     def ok(v: float) -> bool:
-        return _saturation(act, v) >= 1.0 - s and _saturation(act, -v) <= s
+        return transfer(act, v) >= 1.0 - s and transfer(act, -v) <= s
 
     hi = 1.0
     while not ok(hi):
@@ -328,10 +332,11 @@ def build_hardness_net(hs: HalfspaceFamily, activation: Activation,
     and ``transfer(-margin_param) <= 1/(4T)``; that is probed numerically and
     a ConstructionError reports the achieved values on failure.
     """
+    _require_saturating(activation)
     lam = float(margin_param)
     T, d = hs.T, hs.dim
-    hi_val = _saturation(activation, lam)
-    lo_val = _saturation(activation, -lam)
+    hi_val = transfer(activation, lam)
+    lo_val = transfer(activation, -lam)
     # negated so that a NaN margin parameter fails too
     if not (hi_val >= 1.0 - 1.0 / (4.0 * T) and lo_val <= 1.0 / (4.0 * T)):
         raise ConstructionError(
@@ -344,7 +349,7 @@ def build_hardness_net(hs: HalfspaceFamily, activation: Activation,
     # error cannot erode the unit margin
     const_target = 1e-9
     v = lam
-    while _saturation(activation, v) < 1.0 - const_target:
+    while transfer(activation, v) < 1.0 - const_target:
         v *= 2.0
         if v > 1e6:
             raise ConstructionError(
@@ -399,7 +404,7 @@ def _hypercube_points(idx: np.ndarray, d: int) -> np.ndarray:
 def _hypercube_margins(net: NeuralNet, hs: HalfspaceFamily) -> np.ndarray:
     """``label * net(extended x)`` for every x in {-1,1}^d, in
     ``itertools.product((-1, 1), repeat=d)`` order, evaluated a block of
-    MARGIN_BLOCK inputs at a time: one integer product for the labels and one
+    MARGIN_BLOCK inputs at a time: one :func:`_labels` and one
     :func:`forward_many` call, so each margin equals the scalar one."""
     d = hs.dim
     n = 2 ** d
@@ -407,9 +412,7 @@ def _hypercube_margins(net: NeuralNet, hs: HalfspaceFamily) -> np.ndarray:
     for start in range(0, n, MARGIN_BLOCK):
         idx = np.arange(start, min(n, start + MARGIN_BLOCK))
         X = _hypercube_points(idx, d)
-        g = X @ hs.weights.T - hs.offsets
-        labels = np.where(np.all(g >= 1, axis=1), 1.0, -1.0)
-        margins[start:start + idx.size] = labels * forward_many(net, extend_input(X))
+        margins[start:start + idx.size] = _labels(hs, X) * forward_many(net, extend_input(X))
     return margins
 
 

@@ -273,8 +273,7 @@ class OneVsAllPredictor:
         return self.scores_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def classify_many(self, Xe) -> np.ndarray:
-        idx = np.argmax(self.scores_many(Xe), axis=1)
-        return np.array([self.classes[i] for i in idx])
+        return np.asarray(self.classes)[np.argmax(self.scores_many(Xe), axis=1)]
 
     def classify(self, x) -> int:
         return int(self.classify_many(np.asarray(x, dtype=float)[None, :])[0])

@@ -547,7 +547,9 @@ def test_bench_table_csv_and_manifest_agree(bench_results):
 @pytest.mark.parametrize("flag, value, message", [
     ("--test", "0", "--test 0: the test split needs 1 to 30 images"),
     ("--val", "0", "--val 0: the val split needs 1 to 10 images"),
-    ("--variants", "", "--variants must name at least one variant")])
+    ("--variants", "", "--variants must name at least one variant"),
+    # an empty --ks used to write an empty capacity line and exit 0
+    ("--ks", "", "--ks must name at least one depth")])
 def test_bench_refuses_an_empty_split(flag, value, message, tmp_path, capsys):
     # an empty test or validation split used to score nan% and exit 0
     data, results = tmp_path / "data", tmp_path / "results"
@@ -575,6 +577,38 @@ def test_bench_refuses_a_repeated_value(flag, value, message, tmp_path, capsys):
                  "--out-dir", str(results), flag, value]) == 2
     assert message in capsys.readouterr().err
     assert not results.exists()
+
+
+def test_bench_fits_depth_zero(tmp_path, capsys):
+    # depth 0 used to fail the capacity line: F(k, L) starts at k = 1
+    data, results = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", "--out-dir", str(data), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
+                 "--test", "30", "--ks", "0,1", "--variants", "basic", "--max-iters", "30",
+                 "--baseline-iters", "5", "--out-dir", str(results)]) == 0
+    runs = json.loads((results / "bench.manifest.json").read_text())["runs"]
+    assert [(r["method"], r["k"]) for r in runs] == [
+        ("logistic regression", None), ("recursive kernel (k=0)", 0),
+        ("recursive kernel (k=1)", 1)]
+    assert all(len(r["solve"]) == 10 for r in runs[1:])
+    md = (results / "bench.md").read_text()
+    assert "capacity reference (quadratic activation, L = 1): F(1, 1) = 2.828; trained" in md
+    assert "| recursive kernel (k=0) |" in md
+
+
+@pytest.mark.parametrize("command", [
+    ["gram", "--out", "g.bin"],
+    ["train", "--out-model", "m.json"]], ids=["gram", "train"])
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_limit_below_one_is_a_usage_error(command, limit, tmp_path, capsys):
+    # gram used to write an n = 0 Gram and exit 0; train blamed the class count
+    ip, lp = one_hot_dataset(tmp_path)
+    out = tmp_path / command[-1]
+    assert main([command[0], "--images", ip, "--labels", lp, "--limit", limit,
+                 command[1], str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --limit {limit}: needs at least 1 row\n"
+    assert not out.exists()
 
 
 def test_data_prefix_expands_to_idx_pair(tmp_path, capsys):

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reckernel.activation import builtin_activation
 from reckernel.data import (
+    FeatureDataset,
     IdxFormatError,
     ImageDataset,
     deskew,
@@ -14,6 +16,7 @@ from reckernel.data import (
     read_idx,
     write_idx,
 )
+from reckernel.network import HalfspaceFamily, NeuralNet
 
 import oracles
 from oracles import preprocess_out_of_place, shear_coefficient
@@ -28,6 +31,32 @@ def byte_dataset(n=6, seed=0):
 # ---------------------------------------------------------------------------
 # IDX container
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls, arguments", [
+    (ImageDataset, lambda: dict(images=np.zeros((2, 3, 3)), labels=np.array([0, 1]))),
+    (FeatureDataset, lambda: dict(X=np.zeros((2, 4)), labels=np.array([0, 1]),
+                                  fingerprint=("normalize",))),
+    (NeuralNet, lambda: dict(weights=(np.ones((2, 3)), np.ones((1, 2))),
+                             activation=builtin_activation("quadratic"))),
+    (HalfspaceFamily, lambda: dict(weights=np.array([[1, -1], [0, 2]]),
+                                   offsets=np.array([0, 1]), budget=4)),
+], ids=["ImageDataset", "FeatureDataset", "NeuralNet", "HalfspaceFamily"])
+def test_constructors_leave_the_callers_arrays_writable(cls, arguments):
+    # the constructors used to make the caller's own arrays read-only
+    given = arguments()
+    obj = cls(**given)
+    pairs = []  # (the caller's array, the stored one)
+    for name, value in given.items():
+        if isinstance(value, np.ndarray):
+            pairs.append((value, getattr(obj, name)))
+        elif name == "weights":  # a network's tuple of matrices
+            pairs += zip(value, getattr(obj, name))
+    assert len(pairs) == 2
+    for a, b in pairs:
+        assert a.flags.writeable
+        assert not b.flags.writeable
+        assert np.shares_memory(a, b)  # a view, not a copy
+
 
 def test_idx_round_trip(tmp_path):
     ds = byte_dataset()

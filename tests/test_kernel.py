@@ -68,6 +68,17 @@ def test_non_finite_vector_is_rejected(bad):
         kernel_eval(KernelStack(3), E1, x)
 
 
+@pytest.mark.parametrize("x, y", [
+    (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+    (np.array(0.5), np.array(0.5)),
+    (E1, np.array([1.0, 0.0, 0.0])),
+], ids=["2-d", "0-d", "unequal-length"])
+def test_kernel_eval_refuses_what_is_not_a_vector_pair(x, y):
+    # 2-d inputs used to die in numpy's broadcasting, not in a named check
+    with pytest.raises(ValueError, match="x and y must be 1-d vectors of equal length"):
+        kernel_eval(KernelStack(1), x, y)
+
+
 def test_unit_pair_range():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -162,7 +173,7 @@ def test_gram_psd_on_random_datasets():
         d = int(rng.integers(2, 21))
         k = int(rng.integers(1, 5))
         G = gram(KernelStack(k), random_unit_rows(rng, n, d))
-        assert G.min_eigenvalue() >= -1e-8 * n
+        assert np.linalg.eigvalsh(G.entries)[0] >= -1e-8 * n
 
 
 def test_gram_propagates_row_index():

@@ -461,6 +461,17 @@ def test_trained_predictors_are_read_only():
     assert X.flags.writeable  # the caller's array keeps its flags
 
 
+def test_classify_many_keeps_the_class_dtype_on_no_rows():
+    # zero rows used to come back as float64, every other input as int64
+    rng = np.random.default_rng(12)
+    X = random_unit_rows(rng, 12, 4)
+    p = train_multiclass(X, np.arange(12) % 3, TrainConfig(depth=1, budget=1.0, max_iters=20))
+    some, none = p.classify_many(X), p.classify_many(np.empty((0, 4)))
+    assert none.shape == (0,)
+    assert none.dtype == some.dtype == np.asarray(p.classes).dtype
+    assert [p.classify(x) for x in X] == some.tolist()
+
+
 # ---------------------------------------------------------------------------
 # multiclass
 # ---------------------------------------------------------------------------
