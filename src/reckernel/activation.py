@@ -7,16 +7,19 @@ beta_j x^j``.  From the coefficients we derive the level function
     H(lam) = L * sqrt( sum_j 2^(j+1) beta_j^2 lam^(2j) )
 
 and its k-fold self-composition ``F(k, L) = H^(k)(L)`` starting at ``lam = L``.
-For saturating activations these quantities grow doubly exponentially, so all
-capacity arithmetic runs in the log domain (:class:`LogValue`).
+For saturating activations these quantities grow doubly exponentially, so the
+capacity sums run in the log domain (:class:`LogValue`), one array per series.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 LN2 = math.log(2.0)
 LOG10E = math.log10(math.e)
@@ -28,6 +31,8 @@ BUILTIN_NAMES = ("quadratic", "shifted_erf", "smoothed_hinge")
 CONVERGENCE_RUN = 5
 #: hard cap on series terms; hitting it without convergence is a divergence
 TERM_CAP = 10_000
+#: most series settle within a few hundred terms: sum this many before the whole table
+_PREFIX_TERMS = 512
 
 
 class UnknownActivationError(ValueError):
@@ -55,22 +60,14 @@ class SeriesDivergenceError(ArithmeticError):
 # log-domain nonnegative reals
 # ---------------------------------------------------------------------------
 
-def _logaddexp(a: float, b: float) -> float:
-    """``ln(e^a + e^b)``, where a log of -inf stands for zero."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    if lo == -math.inf or hi == math.inf:
-        return hi
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 @dataclass(frozen=True, order=False)
 class LogValue:
     """A nonnegative real carried as its natural log; zero is a log of -inf.
 
     Needed because capacity values overflow floats already at two composition
-    levels for saturating activations.  The capacity sums run on the logs
-    themselves (:func:`_logaddexp`); this type carries the results and orders
-    them.  A NaN log is refused.
+    levels for saturating activations.  The capacity sums run on arrays of
+    logs (``np.logaddexp.accumulate``); this type carries the results and
+    orders them.  A NaN log is refused.
     """
 
     log_magnitude: float
@@ -132,6 +129,15 @@ class Activation:
         if self.max_degree is not None and j > self.max_degree:
             return None
         return self.log_abs_coeff_fn(j)
+
+    @functools.cached_property
+    def _log_series_weights(self) -> np.ndarray:
+        """Read-only ``ln(2^(j+1) beta_j^2)``, j <= max_degree or TERM_CAP; -inf at beta_j = 0."""
+        n = TERM_CAP + 1 if self.max_degree is None else self.max_degree + 1
+        w = np.array([-math.inf if lb is None else (j + 1) * LN2 + 2.0 * lb
+                      for j, lb in enumerate(map(self.log_abs_coeff, range(n)))])
+        w.flags.writeable = False
+        return w
 
     def evaluate(self, x: float) -> float:
         """Pointwise value through the closed form."""
@@ -239,41 +245,33 @@ def _h_series_log(act: Activation, log_lam: LogValue, tol: float,
                   level: Optional[int] = None) -> tuple[float, int]:
     """Log of sum_j 2^(j+1) beta_j^2 lam^(2j), plus the number of terms read.
 
-    Polynomial activations are summed exactly over their finite support.  For
-    the rest, summation stops once CONVERGENCE_RUN consecutive terms each
-    contribute less than ``tol`` relative to the running sum; exceeding
-    TERM_CAP without that happening raises SeriesDivergenceError.
+    The terms and their running sums are arrays, summed in term order; a
+    polynomial's sum covers all its max_degree + 1 terms.  Other series stop
+    at the first j >= CONVERGENCE_RUN closing a run of CONVERGENCE_RUN terms
+    each below ``tol`` relative to the running sum; with no such j among the
+    first TERM_CAP + 1 terms, SeriesDivergenceError is raised.
     """
-    loglam = log_lam.log_magnitude
-
-    def term(j: int) -> float:
-        lb = act.log_abs_coeff(j)
-        if lb is None:
-            return -math.inf
-        if j == 0:
-            return LN2 + 2.0 * lb
-        return (j + 1) * LN2 + 2.0 * lb + (2.0 * j) * loglam
-
-    total = -math.inf
-    if act.max_degree is not None:
-        for j in range(act.max_degree + 1):
-            total = _logaddexp(total, term(j))
-        return total, act.max_degree + 1
-
-    small_run = 0
-    for j in range(TERM_CAP + 1):
-        t = term(j)
-        total = _logaddexp(total, t)
-        if t == -math.inf or t - total < math.log(tol):
-            small_run += 1
-            if small_run >= CONVERGENCE_RUN and j >= CONVERGENCE_RUN:
-                return total, j + 1
-        else:
-            small_run = 0
+    weights = act._log_series_weights
+    for n in (len(weights),) if act.max_degree is not None else (_PREFIX_TERMS, len(weights)):
+        terms = weights[:n].copy()
+        # j = 0 has no lam factor (lam = 0 keeps it); a zero beta_j stays zero at lam = inf.
+        # As in float arithmetic, lam^(2j) may overflow to inf and inf - inf is not below tol.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms[1:] += np.where(np.isneginf(weights[1:n]), 0.0,
+                                  2.0 * np.arange(1, n) * log_lam.log_magnitude)
+            total = np.logaddexp.accumulate(terms)
+            if act.max_degree is not None:
+                return float(total[-1]), n
+            run = np.cumsum((terms == -np.inf) | (terms - total < math.log(tol)))
+        closes = np.flatnonzero(run[CONVERGENCE_RUN:] - run[:-CONVERGENCE_RUN]
+                                == CONVERGENCE_RUN)
+        if closes.size:
+            j = CONVERGENCE_RUN + int(closes[0])
+            return float(total[j]), j + 1
     raise SeriesDivergenceError(
         f"capacity series for {act.name!r} did not converge within "
         f"{TERM_CAP} terms" + (f" at composition level {level}" if level else ""),
-        partial=LogValue(total), terms_used=TERM_CAP + 1, level=level)
+        partial=LogValue(float(total[-1])), terms_used=TERM_CAP + 1, level=level)
 
 
 def _h_log(act: Activation, L: float, log_lam: LogValue, tol: float,

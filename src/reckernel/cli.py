@@ -455,6 +455,8 @@ def cmd_bench(args) -> int:
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:  # it would be fitted twice, into duplicate rows
             raise ValueError(f"{flag} lists {repeated} more than once")
+    if min(args.ks) < 0:  # refused before any split is read or fitted
+        raise ValueError(f"--ks {min(args.ks)}: depth must be nonnegative")
     t0 = time.time()
     splits = {}
     for split, size in (("train", args.train), ("test", args.test), ("val", args.val)):

@@ -3,8 +3,8 @@ the depth-1 kernel, the dense form of an embedded quadratic network in it, a
 network evaluated one neuron at a time, the one-shot (unblocked) cross-kernel
 scores, the projection of one coefficient vector onto the norm ball, the
 solver loop that recomputes ``A @ G`` at every step, the per-image bilinear
-resampling of rotation and deskew, and preprocessing that copies the
-features at every step.
+resampling of rotation and deskew, preprocessing that copies the
+features at every step, and the capacity series summed one term at a time.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reckernel.activation import (CONVERGENCE_RUN, LN2, TERM_CAP, LogValue,
+                                  SeriesDivergenceError)
 from reckernel.data import FeatureDataset
 from reckernel.kernel import _check_rows, kernel_matrix
 from reckernel.solver import (NumericalError, SolveReport, SolverDivergenceError,
@@ -246,3 +248,45 @@ def preprocess_out_of_place(ds, steps) -> FeatureDataset:
             flagged = tuple(int(i) for i in np.nonzero(zero)[0])
             X = X / np.where(zero, 1.0, norms)[:, None]
     return FeatureDataset(X=X, labels=ds.labels, fingerprint=steps, flagged_rows=flagged)
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """``ln(e^a + e^b)``, where a log of -inf stands for zero."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    if lo == -math.inf or hi == math.inf:
+        return hi
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def h_series_log(act, log_lam: LogValue, tol: float, level=None) -> tuple[float, int]:
+    """``activation._h_series_log`` one term at a time: each term and each
+    running sum a Python float, with the same stopping rule."""
+    loglam = log_lam.log_magnitude
+
+    def term(j: int) -> float:
+        lb = act.log_abs_coeff(j)
+        if lb is None:
+            return -math.inf
+        if j == 0:
+            return LN2 + 2.0 * lb
+        return (j + 1) * LN2 + 2.0 * lb + (2.0 * j) * loglam
+
+    total = -math.inf
+    if act.max_degree is not None:
+        for j in range(act.max_degree + 1):
+            total = _logaddexp(total, term(j))
+        return total, act.max_degree + 1
+
+    small_run = 0
+    for j in range(TERM_CAP + 1):
+        t = term(j)
+        total = _logaddexp(total, t)
+        if t == -math.inf or t - total < math.log(tol):
+            small_run += 1
+            if small_run >= CONVERGENCE_RUN and j >= CONVERGENCE_RUN:
+                return total, j + 1
+        else:
+            small_run = 0
+    raise SeriesDivergenceError(
+        f"capacity series for {act.name!r} did not converge within {TERM_CAP} terms",
+        partial=LogValue(total), terms_used=TERM_CAP + 1, level=level)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reckernel import activation
 from reckernel.activation import (
     Activation,
     LogValue,
@@ -19,6 +21,8 @@ from reckernel.activation import (
     compute_F,
     compute_H,
 )
+
+import oracles
 
 QUAD = builtin_activation("quadratic")
 ERF = builtin_activation("shifted_erf")
@@ -341,6 +345,101 @@ def test_f_divergence_identifies_level():
     with pytest.raises(SeriesDivergenceError) as exc:
         compute_F(ERF, 2, 3.0)
     assert exc.value.level == 2
+
+
+# ---------------------------------------------------------------------------
+# the array series against the term-by-term oracle
+# ---------------------------------------------------------------------------
+
+#: the perfbench capacity grid: every builtin at L in {0.5, 1, 2}, k in {1, 2, 4, 6}
+CAPACITY_GRID = [(name, L, k) for name in activation.BUILTIN_NAMES
+                 for L in (0.5, 1.0, 2.0) for k in (1, 2, 4, 6)]
+
+ZERO = Activation("null", "sigmoid_like", lambda j: None, lambda x: 0.0)
+ONES = Activation("ones", "sigmoid_like", lambda j: 0.0, lambda x: 1.0 / (1.0 - x))
+#: a polynomial with more terms than the array sum tries before its whole table
+P600 = Activation("p600", "polynomial", lambda j: 0.0,
+                  lambda x: sum(x ** j for j in range(601)), max_degree=600)
+
+
+def _outcome(call):
+    """(log values, terms used) of a capacity call, or its divergence as
+    ("diverged", level, partial log, terms used)."""
+    try:
+        value, used = call()
+    except SeriesDivergenceError as e:
+        return "diverged", e.level, e.partial.log_magnitude, e.terms_used
+    return (value if isinstance(value, tuple) else (value,)), used
+
+
+def _assert_same_outcome(got, want):
+    """Equal terms used and divergence level; logs within 1e-15 relative."""
+    assert len(got) == len(want)
+    if want[0] == "diverged":
+        assert got[:2] == want[:2] and got[3] == want[3]
+        assert math.isclose(got[2], want[2], rel_tol=1e-15)
+        return
+    (levels, used), (want_levels, want_used) = got, want
+    assert used == want_used and len(levels) == len(want_levels)
+    for a, b in zip(levels, want_levels):
+        assert math.isclose(a, b, rel_tol=1e-15), (a, b)
+
+
+def _capacity_levels(act, k, L):
+    rep = compute_F(act, k, L)
+    return tuple(v.log_magnitude for v in rep.levels), rep.terms_used
+
+
+@pytest.mark.parametrize("name, L, k", CAPACITY_GRID)
+def test_f_matches_term_by_term_oracle_on_the_benchmark_grid(name, L, k, monkeypatch):
+    act = builtin_activation(name)
+    got = _outcome(lambda: _capacity_levels(act, k, L))
+    monkeypatch.setattr(activation, "_h_series_log", oracles.h_series_log)
+    want = _outcome(lambda: _capacity_levels(act, k, L))
+    _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("act, lam", [
+    (ZERO, 5.0), (ZERO, 0.0), (ONES, 1.0), (ONES, 0.5), (ONES, 0.7),
+    (QUAD, 0.0), (ERF, 0.0), (SH, 0.0), (P600, 0.5), (P600, 1.0),
+    (QUAD, math.inf), (ERF, math.inf)],
+    ids=["zero", "zero-lam0", "ones-divergent", "ones-convergent",
+         # terms shrink by 2 lam^2 = 0.98: the sum settles after 1180 terms
+         "ones-slow",
+         "quadratic-lam0", "shifted_erf-lam0", "smoothed_hinge-lam0",
+         # all 601 terms, with the tail negligible and with it growing
+         "p600-lam0.5", "p600-lam1",
+         # an overflowed level: zero coefficients stay zero terms
+         "quadratic-lam-inf", "shifted_erf-lam-inf"])
+def test_series_matches_term_by_term_oracle(act, lam):
+    log_lam = LogValue.from_float(lam)
+    got = _outcome(lambda: activation._h_series_log(act, log_lam, 1e-12, level=3))
+    want = _outcome(lambda: oracles.h_series_log(act, log_lam, 1e-12, level=3))
+    _assert_same_outcome(got, want)
+
+
+@given(st.sampled_from([ERF, SH]), st.floats(min_value=0.0, max_value=3.5),
+       st.sampled_from([1e-12, 1e-6, 0.5]))
+@settings(max_examples=40, deadline=None)
+def test_series_matches_term_by_term_oracle_at_random_lam(act, lam, tol):
+    log_lam = LogValue.from_float(lam)
+    got = _outcome(lambda: activation._h_series_log(act, log_lam, tol))
+    want = _outcome(lambda: oracles.h_series_log(act, log_lam, tol))
+    _assert_same_outcome(got, want)
+
+
+def test_series_raises_no_floating_point_warnings():
+    # a zero term against a zero running sum is -inf - -inf, which numpy warns about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for act in (QUAD, ERF, SH, ZERO):
+            compute_H(act, 1.0, 0.0)
+        assert compute_H(ZERO, 2.0, 3.0).log_magnitude == -math.inf
+        compute_F(ZERO, 2, 1.0)
+        # quadratic levels double in log: lam^(2j) overflows, then the level itself
+        assert compute_F(QUAD, 1030, 2.0).value.log_magnitude == math.inf
+        for act in (QUAD, ERF, SH, ZERO):
+            _outcome(lambda: activation._h_series_log(act, LogValue(math.inf), 1e-12))
 
 
 def test_f_rejects_bad_arguments():

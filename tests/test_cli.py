@@ -579,6 +579,23 @@ def test_bench_refuses_a_repeated_value(flag, value, message, tmp_path, capsys):
     assert not results.exists()
 
 
+def test_bench_refuses_a_negative_depth_before_any_fit(tmp_path, capsys):
+    # a negative depth used to be refused only at its fit, after the
+    # variant's preprocessing and logistic baseline had run and printed
+    data, results = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", "--out-dir", str(data), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
+                 "--test", "30", "--ks=-1", "--variants", "basic,rotation",
+                 "--max-iters", "30", "--baseline-iters", "5",
+                 "--out-dir", str(results)]) == 2
+    out, err = capsys.readouterr()
+    assert "logistic regression" not in out
+    assert err == "error: --ks -1: depth must be nonnegative\n"
+    assert not results.exists()
+
+
 def test_bench_fits_depth_zero(tmp_path, capsys):
     # depth 0 used to fail the capacity line: F(k, L) starts at k = 1
     data, results = tmp_path / "data", tmp_path / "results"
