@@ -25,7 +25,6 @@ LN2 = math.log(2.0)
 LOG10E = math.log10(math.e)
 
 KINDS = ("polynomial", "sigmoid_like", "relu_like")
-BUILTIN_NAMES = ("quadratic", "shifted_erf", "smoothed_hinge")
 
 #: series summation stops after this many consecutive relatively-negligible terms
 CONVERGENCE_RUN = 5
@@ -187,6 +186,16 @@ def _smoothed_hinge_log_abs(j: int) -> Optional[float]:
             - math.log(2 * m + 1) - math.log(2 * m + 2))
 
 
+#: one shared frozen instance each, so a process tabulates each series once
+_BUILTINS = {act.name: act for act in (
+    Activation("quadratic", "polynomial", lambda j: 0.0 if j == 2 else None,
+               _quadratic_closed, max_degree=2),
+    Activation("shifted_erf", "sigmoid_like", _shifted_erf_log_abs, _shifted_erf_closed),
+    Activation("smoothed_hinge", "relu_like", _smoothed_hinge_log_abs, _smoothed_hinge_closed),
+)}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_activation(name: str) -> Activation:
     """Return one of the builtin activations by name.
 
@@ -194,30 +203,10 @@ def builtin_activation(name: str) -> Activation:
     shifted_erf      (1 + erf(sqrt(pi) x)) / 2 (sigmoid-like)
     smoothed_hinge   integral of shifted_erf   (relu-like; series anchored at 0)
     """
-    if name == "quadratic":
-        return Activation(
-            name="quadratic",
-            kind="polynomial",
-            log_abs_coeff_fn=lambda j: 0.0 if j == 2 else None,
-            closed_form=_quadratic_closed,
-            max_degree=2,
-        )
-    if name == "shifted_erf":
-        return Activation(
-            name="shifted_erf",
-            kind="sigmoid_like",
-            log_abs_coeff_fn=_shifted_erf_log_abs,
-            closed_form=_shifted_erf_closed,
-        )
-    if name == "smoothed_hinge":
-        return Activation(
-            name="smoothed_hinge",
-            kind="relu_like",
-            log_abs_coeff_fn=_smoothed_hinge_log_abs,
-            closed_form=_smoothed_hinge_closed,
-        )
-    raise UnknownActivationError(
-        f"unknown activation {name!r}; supported: {', '.join(BUILTIN_NAMES)}")
+    if name not in _BUILTINS:
+        raise UnknownActivationError(
+            f"unknown activation {name!r}; supported: {', '.join(BUILTIN_NAMES)}")
+    return _BUILTINS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ class LogisticConfig:
     n_classes: int = 10
     iters: int = 400
 
+    def __post_init__(self):
+        # zero steps would leave W = 0, which predicts class 0 for every row
+        if self.iters < 1:
+            raise ValueError(f"iters must be at least 1, got {self.iters}")
+
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
     Z = Z - Z.max(axis=1, keepdims=True)

@@ -320,15 +320,15 @@ def cmd_gram(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.time()
     images, labels = _resolve_idx_pair(args)
+    cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss,
+                      max_iters=args.max_iters, eta0=args.eta0,
+                      tolerance=args.tol)
     _, fds = _load_features(images, labels, tuple(args.preprocess), args.limit)
     hashes = _sha256s([images, labels])
     rows = _usable_rows(fds)
     if len(rows) < fds.n:
         print(f"dropping {fds.n - len(rows)} zero-norm rows", file=sys.stderr)
     X, y = fds.X[rows], fds.labels[rows]
-    cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss,
-                      max_iters=args.max_iters, eta0=args.eta0,
-                      tolerance=args.tol)
     history: list = []
     stride = max(1, args.max_iters // 200)
 
@@ -455,8 +455,12 @@ def cmd_bench(args) -> int:
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:  # it would be fitted twice, into duplicate rows
             raise ValueError(f"{flag} lists {repeated} more than once")
-    if min(args.ks) < 0:  # refused before any split is read or fitted
+    if min(args.ks) < 0:
         raise ValueError(f"--ks {min(args.ks)}: depth must be nonnegative")
+    # every config is built, and so checked, before any split is read or fitted
+    baseline_cfg = LogisticConfig(iters=args.baseline_iters)
+    cfgs = {k: TrainConfig(depth=k, budget=args.B, loss=args.loss, max_iters=args.max_iters)
+            for k in args.ks}
     t0 = time.time()
     splits = {}
     for split, size in (("train", args.train), ("test", args.test), ("val", args.val)):
@@ -491,13 +495,12 @@ def cmd_bench(args) -> int:
             t1 = time.time()
             if k is None:
                 method, solve = "logistic regression", []
-                W = train_logistic(X, y, LogisticConfig(n_classes=int(y.max()) + 1,
-                                                        iters=args.baseline_iters))
+                W = train_logistic(X, y, dataclasses.replace(baseline_cfg,
+                                                             n_classes=int(y.max()) + 1))
                 classify = functools.partial(predict_logistic, W)
             else:
                 method = f"recursive kernel (k={k})"
-                pred = train_multiclass(X, y, TrainConfig(depth=k, budget=args.B, loss=args.loss,
-                                                          max_iters=args.max_iters))
+                pred = train_multiclass(X, y, cfgs[k])
                 classify, solve = pred.classify_many, _solve_records(pred)
             t2 = time.time()
             test_err, val_err = (float((classify(f.X) != f.labels).mean()) for f in (fte, fva))
@@ -649,6 +652,9 @@ def main(argv=None) -> int:
         # option's type, and a flag on the command line still wins
         subparsers[args.command].set_defaults(**_presets(args))
         args = parser.parse_args(argv)
+        # numpy would refuse a negative seed only once the command's work had begun
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed {args.seed}: must be a nonnegative integer")
         return args.func(args)
     except DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -29,9 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import NORM_TOL, KernelStack, cross_kernel_blocks, gram, row_norms
-
-LOSS_KINDS = ("hinge", "logistic", "squared")
+from .kernel import NORM_TOL, cross_kernel_blocks, kernel_matrix, row_norms
 
 #: running steps of ``P`` between exact products ``A @ G``, against drift
 REFRESH = 50
@@ -55,6 +53,24 @@ class NumericalError(ArithmeticError):
     """A quantity that is nonnegative in exact arithmetic came out negative."""
 
 
+#: per loss: its value and subgradient at (pred, y), and its (rho, range_bound) at budget B
+_LOSSES = {
+    "hinge": (lambda pred, y: np.maximum(0.0, 1.0 - y * pred),
+              # at the kink (margin exactly 1) take the zero element
+              lambda pred, y: np.where(1.0 - y * pred > 0.0, -y, 0.0),
+              lambda B: (1.0, 1.0 + B)),
+    "logistic": (lambda pred, y: np.logaddexp(0.0, -y * pred),
+                 lambda pred, y: -y * np.exp(-np.logaddexp(0.0, y * pred)),
+                 # log(1 + e^B), computed stably for large B
+                 lambda B: (1.0, float(np.logaddexp(0.0, B)))),
+    # constants for predictions clipped to [-B, B] against labels in [-1, 1]
+    "squared": (lambda pred, y: (pred - y) ** 2,
+                lambda pred, y: 2.0 * (pred - y),
+                lambda B: (2.0 * (B + 1.0), (B + 1.0) ** 2)),
+}
+LOSS_KINDS = tuple(_LOSSES)
+
+
 @dataclass(frozen=True)
 class Loss:
     """Convex loss with its subgradient and the constants used by the
@@ -64,34 +80,16 @@ class Loss:
     kind: str
     rho: float
     range_bound: float
-
-    def value(self, pred: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == "hinge":
-            return np.maximum(0.0, 1.0 - y * pred)
-        if self.kind == "logistic":
-            return np.logaddexp(0.0, -y * pred)
-        return (pred - y) ** 2
-
-    def subgradient(self, pred: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == "hinge":
-            # at the kink (margin exactly 1) take the zero element
-            return np.where(1.0 - y * pred > 0.0, -y, 0.0)
-        if self.kind == "logistic":
-            return -y * np.exp(-np.logaddexp(0.0, y * pred))
-        return 2.0 * (pred - y)
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    subgradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def make_loss(kind: str, B: float) -> Loss:
     """Loss with constants instantiated for the budget B."""
-    if kind == "hinge":
-        return Loss(kind, rho=1.0, range_bound=1.0 + B)
-    if kind == "logistic":
-        # log(1 + e^B), computed stably for large B
-        return Loss(kind, rho=1.0, range_bound=float(np.logaddexp(0.0, B)))
-    if kind == "squared":
-        # constants for predictions clipped to [-B, B] against labels in [-1, 1]
-        return Loss(kind, rho=2.0 * (B + 1.0), range_bound=(B + 1.0) ** 2)
-    raise ValueError(f"unknown loss {kind!r}; supported: {', '.join(LOSS_KINDS)}")
+    if kind not in _LOSSES:
+        raise ValueError(f"unknown loss {kind!r}; supported: {', '.join(LOSS_KINDS)}")
+    value, subgradient, constants = _LOSSES[kind]
+    return Loss(kind, *constants(B), value, subgradient)
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ class TrainConfig:
     budget: float
     loss: str = "hinge"
     max_iters: int = 5000
-    #: initial step size; defaults to budget / rho
+    #: initial step size, > 0 (+inf included); defaults to budget / rho
     eta0: Optional[float] = None
     #: stop when the best objective improves by less than this (relative)
     #: over ``patience`` iterations
@@ -119,8 +117,11 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.loss not in _LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r}; supported: {', '.join(LOSS_KINDS)}")
+        # negated so that NaN fails too
+        if self.eta0 is not None and not self.eta0 > 0.0:
+            raise ValueError(f"eta0 must be positive, got {self.eta0}")
 
 
 @dataclass(frozen=True)
@@ -239,8 +240,9 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
 class OneVsAllPredictor:
     """Per-class predictors ``f_c(x) = sum_i alphas[c, i] K_depth(x_i, x)``
     sharing one support set; argmax wins, ties broken toward the smallest
-    class index.  A binary predictor has one class, and its decision value
-    is ``scores(x)[0]``."""
+    class index.  A binary predictor has one class, ``(1,)``, and its
+    decision value is ``scores(x)[0]``: it classifies as +1 where that is
+    > 0, else -1."""
 
     support: np.ndarray
     alphas: np.ndarray  # (n_classes, n_support)
@@ -273,25 +275,35 @@ class OneVsAllPredictor:
         return self.scores_many(np.asarray(x, dtype=float)[None, :])[0]
 
     def classify_many(self, Xe) -> np.ndarray:
-        return np.asarray(self.classes)[np.argmax(self.scores_many(Xe), axis=1)]
+        S = self.scores_many(Xe)
+        if len(self.classes) == 1:
+            return np.where(S[:, 0] > 0.0, 1, -1)
+        return np.asarray(self.classes)[np.argmax(S, axis=1)]
 
     def classify(self, x) -> int:
         return int(self.classify_many(np.asarray(x, dtype=float)[None, :])[0])
+
+
+def _fit(X: np.ndarray, Y: np.ndarray, classes: tuple[int, ...], cfg: TrainConfig,
+         callback: Optional[Callable[[int, int, float, float], None]]) -> OneVsAllPredictor:
+    """Solve the +-1 problems in the rows of ``Y`` over one read-only Gram of X."""
+    _check_unit_rows(X)
+    G = kernel_matrix(cfg.depth, X)
+    G.setflags(write=False)
+    alphas, reports = _minimize_on_gram(G, Y, cfg, callback)
+    return OneVsAllPredictor(support=X, alphas=alphas, classes=classes, depth=cfg.depth,
+                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
 
 
 def train(X, y, cfg: TrainConfig,
           callback: Optional[Callable[[int, float, float], None]] = None) -> OneVsAllPredictor:
     """Binary constrained kernel ERM; labels must be +-1.  Returns a
     one-class predictor whose ``alphas[0]`` is the coefficient vector."""
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_unit_rows(X)
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("binary labels must be +1 or -1")
     cb = (lambda c, t, o, b: callback(t, o, b)) if callback else None
-    alphas, reports = _minimize_on_gram(gram(KernelStack(cfg.depth), X).entries, y[None], cfg, cb)
-    return OneVsAllPredictor(support=X, alphas=alphas, classes=(1,), depth=cfg.depth,
-                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
+    return _fit(np.asarray(X, dtype=float), y[None], (1,), cfg, cb)
 
 
 def train_multiclass(X, labels, cfg: TrainConfig,
@@ -321,12 +333,8 @@ def train_multiclass(X, labels, cfg: TrainConfig,
     if missing:
         raise DegenerateClassError(
             f"classes {missing} never occur in the training labels")
-    _check_unit_rows(X)
     Y = np.where(np.arange(n_classes)[:, None] == labels[None, :], 1.0, -1.0)
-    alphas, reports = _minimize_on_gram(gram(KernelStack(cfg.depth), X).entries, Y, cfg, callback)
-    return OneVsAllPredictor(support=X, alphas=alphas,
-                             classes=tuple(range(n_classes)), depth=cfg.depth,
-                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
+    return _fit(X, Y, tuple(range(n_classes)), cfg, callback)
 
 
 def sample_size(B: float, eps: float, delta: float, loss: Loss) -> int:

@@ -164,6 +164,17 @@ def test_train_squared_loss_overflow_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+@pytest.mark.parametrize("eta0", ["-1", "0", "nan"])
+def test_train_refuses_a_step_size_that_is_not_positive(eta0, tmp_path, capsys):
+    # -1 used to take ascent steps and exit 0, nan to exit 4 mid-solve
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    rc = main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+               f"--eta0={eta0}", "--max-iters", "10", "--out-model", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: eta0 must be positive, got {float(eta0)}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_records_each_class_solve(tmp_path, capsys):
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     model = tmp_path / "m.json"
@@ -451,6 +462,27 @@ def test_variants_command_round_trip(tmp_path, capsys):
     assert np.array_equal(back.labels, orig.labels)
 
 
+@pytest.mark.parametrize("command", [
+    ["synth", "--out-dir", "{d}/out"],
+    ["variants", "--data", "{d}/basic-train", "--kind", "rotation",
+     "--out-images", "{d}/r-i.idx", "--out-labels", "{d}/r-l.idx"],
+    ["hardness-demo", "--d", "6", "--T", "2", "--out-net", "{d}/net.json"],
+    ["bench", "--data-dir", "{d}", "--train", "60", "--val", "10", "--test", "30",
+     "--ks", "1", "--variants", "basic,rotation", "--max-iters", "30",
+     "--baseline-iters", "5", "--out-dir", "{d}/results"]],
+    ids=["synth", "variants", "hardness-demo", "bench"])
+def test_a_negative_seed_is_refused_before_any_work(command, tmp_path, capsys):
+    # numpy used to refuse it mid-command, in a message that named no flag;
+    # bench first fitted the whole basic variant
+    assert main(["synth", "--out-dir", str(tmp_path), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([a.format(d=tmp_path) for a in command] + ["--seed=-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --seed -1: must be a nonnegative integer\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_synth_and_bench_smoke(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["synth", "--out-dir", str(data), "--train", "120",
@@ -593,6 +625,25 @@ def test_bench_refuses_a_negative_depth_before_any_fit(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "logistic regression" not in out
     assert err == "error: --ks -1: depth must be nonnegative\n"
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--B", "-1"), ("--B", "nan"), ("--loss", "bogus"), ("--max-iters", "0"),
+    ("--baseline-iters", "0"), ("--baseline-iters", "-5")])
+def test_bench_refuses_a_bad_config_before_any_fit(flag, value, tmp_path, capsys):
+    # these used to be refused only at the first kernel fit, after the logistic
+    # baseline had run and printed; a baseline of no steps scored every row as 0
+    data, results = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", "--out-dir", str(data), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
+                 "--test", "30", "--ks", "1", "--variants", "basic,rotation",
+                 "--max-iters", "30", "--baseline-iters", "5",
+                 "--out-dir", str(results), f"{flag}={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
     assert not results.exists()
 
 

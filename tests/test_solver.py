@@ -195,10 +195,13 @@ def test_train_refuses_every_row_the_kernel_would(fit, y):
 
 
 @pytest.mark.parametrize("field, value", [("patience", 0), ("patience", -3),
-                                          ("budget", np.nan), ("budget", np.inf)])
+                                          ("budget", np.nan), ("budget", np.inf),
+                                          ("eta0", 0.0), ("eta0", -1.0), ("eta0", np.nan)])
 def test_train_config_rejects_bad_patience_and_budget(field, value):
     # patience 0 used to fail mid-solve on t % 0, a negative one acted as its
-    # absolute value, and a NaN budget was accepted
+    # absolute value, and a NaN budget was accepted; a negative eta0 took
+    # ascent steps and a NaN one failed mid-solve (+inf, the divergence
+    # hook of test_divergence_names_the_class, stays accepted)
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{"depth": 1, "budget": 1.0, field: value})
 
@@ -394,6 +397,20 @@ def test_classify_rejects_non_finite_rows(bad):
     with pytest.raises(ValueError, match="non-finite"):
         train(X, np.where(np.arange(12) % 2, 1.0, -1.0),
               TrainConfig(depth=1, budget=1.0, max_iters=20)).scores(Xe[2])
+
+
+def test_binary_predictor_classifies_by_the_sign_of_its_score():
+    # classify_many used to answer the one class, 1, for every row
+    rng = np.random.default_rng(14)
+    X = random_unit_rows(rng, 40, 5)
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    p = train(X, y, TrainConfig(depth=1, budget=10.0, max_iters=500))
+    assert p.classes == (1,) and p.alphas.shape == (1, 40)
+    got = p.classify_many(X)
+    assert np.array_equal(got, np.where(p.scores_many(X)[:, 0] > 0, 1, -1))
+    assert np.array_equal(got, y) and [p.classify(x) for x in X] == got.tolist()
+    # a zero score is not > 0
+    assert binary_predictor(np.eye(2), np.zeros(2), depth=1).classify(np.array([1.0, 0.0])) == -1
 
 
 def test_predict_dimension_mismatch():
