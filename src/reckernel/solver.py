@@ -115,8 +115,8 @@ class TrainConfig:
             raise ValueError("max_iters must be at least 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:  # NaN fails too
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.loss not in _LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}; supported: {', '.join(LOSS_KINDS)}")
         # negated so that NaN fails too
@@ -300,8 +300,8 @@ def train(X, y, cfg: TrainConfig,
     """Binary constrained kernel ERM; labels must be +-1.  Returns a
     one-class predictor whose ``alphas[0]`` is the coefficient vector."""
     y = np.asarray(y, dtype=float)
-    if not np.all(np.abs(y) == 1.0):
-        raise ValueError("binary labels must be +1 or -1")
+    if y.shape != (len(X),) or not np.all(np.abs(y) == 1.0):
+        raise ValueError("binary labels must be one +1 or -1 per row of X")
     cb = (lambda c, t, o, b: callback(t, o, b)) if callback else None
     return _fit(np.asarray(X, dtype=float), y[None], (1,), cfg, cb)
 

@@ -196,14 +196,22 @@ def test_train_refuses_every_row_the_kernel_would(fit, y):
 
 @pytest.mark.parametrize("field, value", [("patience", 0), ("patience", -3),
                                           ("budget", np.nan), ("budget", np.inf),
-                                          ("eta0", 0.0), ("eta0", -1.0), ("eta0", np.nan)])
+                                          ("eta0", 0.0), ("eta0", -1.0), ("eta0", np.nan),
+                                          ("tolerance", np.nan)])
 def test_train_config_rejects_bad_patience_and_budget(field, value):
     # patience 0 used to fail mid-solve on t % 0, a negative one acted as its
     # absolute value, and a NaN budget was accepted; a negative eta0 took
     # ascent steps and a NaN one failed mid-solve (+inf, the divergence
-    # hook of test_divergence_names_the_class, stays accepted)
+    # hook of test_divergence_names_the_class, stays accepted); a NaN
+    # tolerance switched the window stop off
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{"depth": 1, "budget": 1.0, field: value})
+
+
+def test_train_refuses_a_label_count_other_than_the_row_count():
+    # it used to fail inside the solve, with numpy's matmul error
+    with pytest.raises(ValueError, match="labels must be one .* per row of X"):
+        train(np.eye(3), np.array([1.0, -1.0]), TrainConfig(depth=1, budget=1.0))
 
 
 def test_best_objective_non_increasing_in_max_iters():
