@@ -6,6 +6,9 @@ saturating activations blow up doubly exponentially, so their depth-1 values
 are shown in log10 and deeper levels report the series budget failure.
 """
 
+import os
+import sys
+
 from reckernel.activation import SeriesDivergenceError, builtin_activation, compute_F
 
 
@@ -25,4 +28,11 @@ def run():
 
 
 if __name__ == "__main__":
-    run()
+    try:
+        run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``| head``): send what is still buffered to devnull,
+        # so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -87,17 +87,19 @@ class NeuralNet:
 
 
 def forward_many(net: NeuralNet, X) -> np.ndarray:
-    """The network's output for each row of X, with the activation's scalar
-    ``evaluate`` applied elementwise.  Neurons sum elementwise products along
-    the last axis, in an order set by the row length alone, so each output
-    equals the row's evaluated alone bit for bit (BLAS products do not)."""
+    """The network's output for each row of X.  Neurons sum elementwise
+    products along the last axis, in an order set by the row length alone, so
+    each output equals the row's evaluated alone bit for bit (BLAS products do
+    not).  ``evaluate`` runs once per distinct pre-activation bit pattern."""
     Y = np.asarray(X, dtype=float)
     if Y.shape[1:] != (net.input_dim,):  # also refuses X that is not 2-d
         raise NetworkStructureError(
             f"input rows have shape {Y.shape[1:]}, network expects ({net.input_dim},)")
     act = np.frompyfunc(net.activation.evaluate, 1, 1)
     for W in net.weights[:-1]:
-        Y = act((Y[:, None, :] * W).sum(axis=2)).astype(float)
+        Z = (Y[:, None, :] * W).sum(axis=2)
+        u, inv = np.unique(Z.view(np.int64), return_inverse=True)  # -0.0 and +0.0 apart
+        Y = act(u.view(float)).astype(float)[inv.reshape(Z.shape)]
     return (Y * net.weights[-1][0]).sum(axis=1)
 
 
@@ -169,7 +171,9 @@ class EmbeddedFunction:
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
         scale = 2.0 ** (-1.5)  # weight of a length-2 tuple in the feature map
-        return float(sum(v * scale * x[a] * x[b] for (a, b), v in self.coords.items()))
+        a, b = np.array(list(self.coords), dtype=np.intp).reshape(-1, 2).T
+        terms = np.fromiter(self.coords.values(), float, len(self.coords)) * scale * x[a] * x[b]
+        return float(sum(terms.tolist()))  # in coords order, from the left
 
 
 def embed_quadratic(net: NeuralNet) -> EmbeddedFunction:

@@ -1,6 +1,7 @@
 """Test oracles kept out of the library: the explicit truncated feature map of
 the depth-1 kernel, the dense form of an embedded quadratic network in it, a
-network evaluated one neuron at a time, the one-shot (unblocked) cross-kernel
+network evaluated one neuron at a time and one activation call per element,
+an embedded network paired term by term, the one-shot (unblocked) cross-kernel
 scores, the projection of one coefficient vector onto the norm ball, the
 solver loop that recomputes ``A @ G`` at every step, the per-image bilinear
 resampling of rotation and deskew, preprocessing that copies the
@@ -20,6 +21,7 @@ from reckernel.activation import (CONVERGENCE_RUN, LN2, TERM_CAP, LogValue,
                                   SeriesDivergenceError)
 from reckernel.data import FeatureDataset
 from reckernel.kernel import _check_rows, kernel_matrix
+from reckernel.network import NetworkStructureError
 from reckernel.solver import (NumericalError, SolveReport, SolverDivergenceError,
                               _scale_onto_ball, make_loss)
 
@@ -98,6 +100,27 @@ def forward_loop(net, x) -> float:
     for W in net.weights[:-1]:
         y = np.array([act(v) for v in W @ y])
     return float(net.weights[-1][0] @ y)
+
+
+def forward_many_elementwise(net, X) -> np.ndarray:
+    """``network.forward_many`` with the activation's scalar ``evaluate``
+    applied to every pre-activation, repeated values included."""
+    Y = np.asarray(X, dtype=float)
+    if Y.shape[1:] != (net.input_dim,):  # also refuses X that is not 2-d
+        raise NetworkStructureError(
+            f"input rows have shape {Y.shape[1:]}, network expects ({net.input_dim},)")
+    act = np.frompyfunc(net.activation.evaluate, 1, 1)
+    for W in net.weights[:-1]:
+        Y = act((Y[:, None, :] * W).sum(axis=2)).astype(float)
+    return (Y * net.weights[-1][0]).sum(axis=1)
+
+
+def embedded_evaluate(emb, x) -> float:
+    """``EmbeddedFunction.evaluate`` as a generator over numpy scalars, one
+    term per coordinate, summed in ``coords`` order."""
+    x = np.asarray(x, dtype=float)
+    scale = 2.0 ** (-1.5)  # weight of a length-2 tuple in the feature map
+    return float(sum(v * scale * x[a] * x[b] for (a, b), v in emb.coords.items()))
 
 
 def scores_unblocked(pred, Xe) -> np.ndarray:

@@ -64,6 +64,18 @@ def test_capacity_table_script_prints_its_table():
     assert rows[4].split() == ["quadratic", "1", "1.0", "2.82843"]
 
 
+def test_capacity_table_script_exits_quietly_when_its_reader_leaves():
+    # ``capacity_table.py | head -2``: the pipe closes before the table is written
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "capacity_table.py")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
 def test_desk_bench_script_parses_its_options():
     # its real run is 5000-step fits on 2000 rows, too slow for this suite
     proc = python(str(ROOT / "scripts" / "run_desk_bench.py"), "--help")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reckernel import network
-from reckernel.activation import builtin_activation, compute_H
+from reckernel.activation import Activation, builtin_activation, compute_H
 from reckernel.network import (
     ConstructionError,
     HalfspaceFamily,
@@ -29,7 +29,8 @@ from reckernel.network import (
     select_margin_param,
 )
 
-from oracles import TruncatedFeatureMap, feature_map, forward_loop, to_dense
+from oracles import (TruncatedFeatureMap, embedded_evaluate, feature_map, forward_loop,
+                     forward_many_elementwise, to_dense)
 
 QUAD = builtin_activation("quadratic")
 ERF = builtin_activation("shifted_erf")
@@ -94,6 +95,20 @@ def test_forward_equals_the_per_neuron_loop(act, k):
             x = rng.normal(size=5)
             x /= np.linalg.norm(x)
             assert forward(net, x) == pytest.approx(forward_loop(net, x), rel=1e-12)
+
+
+def test_forward_many_keeps_signed_zeros_and_nan_signs_apart():
+    # a closed form that reads the sign bit: +1 or -1 at either zero and either NaN;
+    # the rows hold both zeros and the -1 weight turns +0.0 into a -0.0 product
+    # (numpy 2.4's sum starts from +0.0, so its pre-activation reads +0.0 there)
+    sign = Activation("sign", "sigmoid_like", lambda j: None, lambda x: math.copysign(1.0, x))
+    net = tiny_net([[1.0], [-1.0]], [[1.0, 0.5]], act=sign)
+    X = np.array([[0.0], [-0.0], [math.nan], [-math.nan], [2.0], [-0.0], [0.0], [-math.nan]])
+    got = forward_many(net, X)
+    assert got.tobytes() == forward_many_elementwise(net, X).tobytes()
+    assert got.tobytes() == np.array([forward(net, x) for x in X]).tobytes()
+    # the NaN rows reach the activation as NaNs of both signs
+    assert got[2] > 0 > got[3] == got[7]
 
 
 def test_validate_l2_first_layer():
@@ -210,6 +225,17 @@ def test_embed_reproduces_forward_and_norm_bound():
             x /= np.linalg.norm(x)
             want = forward(net, x)
             assert emb.evaluate(x) == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_embed_evaluate_equals_the_term_by_term_sum():
+    rng = np.random.default_rng(2)
+    emb = embed_quadratic(random_net(1, [20, 30], 1.5, QUAD, seed=21))
+    assert len(emb.coords) == 400
+    X = rng.normal(size=(250, 20))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    X[:5, :3] = -0.0
+    got = np.array([emb.evaluate(x) for x in X])
+    assert got.tobytes() == np.array([embedded_evaluate(emb, x) for x in X]).tobytes()
 
 
 def test_embed_dense_pairs_with_feature_map():
@@ -386,6 +412,35 @@ MARGIN_CASES = {
 def test_margins_equal_the_scalar_oracle(case):
     net, hs = MARGIN_CASES[case]()
     assert brute_force_margins(net, hs) == scalar_margins(net, hs)
+
+
+@pytest.mark.parametrize("case", sorted(MARGIN_CASES))
+def test_forward_many_equals_the_elementwise_oracle_on_the_hypercube(case):
+    net, hs = MARGIN_CASES[case]()
+    X = extend_input(network._hypercube_points(np.arange(2 ** hs.dim), hs.dim))
+    assert forward_many(net, X).tobytes() == forward_many_elementwise(net, X).tobytes()
+
+
+def test_margins_call_the_activation_once_per_distinct_pre_activation():
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ERF.closed_form(x)
+
+    act = Activation("counted_erf", ERF.kind, ERF.log_abs_coeff_fn, counted)
+    hs = random_halfspace_family(12, 3, 12, 3)
+    net = build_hardness_net(hs, act, select_margin_param(act, 3))
+    calls.clear()
+    report = brute_force_margins(net, hs)
+    assert report == brute_force_margins(NeuralNet(net.weights, ERF), hs)
+    # distinct bit patterns of the hidden pre-activations, block by block
+    X = extend_input(network._hypercube_points(np.arange(2 ** 12), 12))
+    distinct = 0
+    for start in range(0, len(X), network.MARGIN_BLOCK):
+        Z = (X[start:start + network.MARGIN_BLOCK, None, :] * net.weights[0]).sum(axis=2)
+        distinct += np.unique(Z.view(np.int64)).size
+    assert len(calls) <= distinct < X.shape[0] * net.weights[0].shape[0] // 10
 
 
 def test_margin_tie_goes_to_the_first_input_in_product_order():
