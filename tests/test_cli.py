@@ -50,6 +50,11 @@ def test_bound_unknown_activation_exits_2(capsys):
 
 def test_bound_divergence_exits_4_with_level(capsys):
     assert main(["bound", "--activation", "shifted_erf", "--k", "2", "--L", "3"]) == 4
+    assert "level 2" in capsys.readouterr().err
+
+
+def test_bound_divergence_names_the_level_once(capsys):
+    assert main(["bound", "--activation", "shifted_erf", "--k", "2", "--L", "3"]) == 4
     err = capsys.readouterr().err
     assert err.count("level 2") == 1
     assert "(level" not in err
