@@ -37,6 +37,11 @@ class IdxFormatError(ValueError):
     """An IDX file violates the container format."""
 
 
+def _check_pixels(imgs: np.ndarray) -> None:
+    if imgs.size and not (imgs.min() >= 0.0 and imgs.max() <= 1.0):  # NaN fails too
+        raise ValueError("pixel values must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ImageDataset:
     """Grayscale images in [0, 1] with integer labels and a provenance tag."""
@@ -54,9 +59,7 @@ class ImageDataset:
         if labs.shape != (imgs.shape[0],):
             raise ValueError(
                 f"{imgs.shape[0]} images but {labs.shape[0] if labs.ndim else 0} labels")
-        # written so that NaN fails it too
-        if imgs.size and not (imgs.min() >= 0.0 and imgs.max() <= 1.0):
-            raise ValueError("pixel values must lie in [0, 1]")
+        _check_pixels(imgs)
         imgs.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "images", imgs)
@@ -145,35 +148,55 @@ def write_idx(ds: ImageDataset, images_path, labels_path) -> None:
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def _bilinear(imgs: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _scratch(scratch: dict, name: str, shape, dtype=float) -> np.ndarray:
+    """Temporary ``name`` of one resampling call: made zeroed by the first
+    block, a leading slice of it for every later one."""
+    if name not in scratch:
+        scratch[name] = np.zeros(shape, dtype)
+    return scratch[name][:shape[0]]
+
+
+def _bilinear(imgs: np.ndarray, R: np.ndarray, C: np.ndarray, scratch: dict) -> np.ndarray:
     """Sample each image of a (b, h, w) block at its own fractional (row, col)
-    coordinates, R and C shaped like the block; outside is zero."""
+    coordinates, R and C broadcast to the block; outside is zero.  The block
+    sits in a zero border two pixels wide and floor(R), floor(C) are clipped
+    to [-2, h], [-2, w], so every corner is in range: outside ones read 0.0."""
     b, h, w = imgs.shape
-    flat = imgs.reshape(-1)
-    base = (np.arange(b) * (h * w))[:, None, None]
-    r0, c0 = np.floor(R).astype(np.int64), np.floor(C).astype(np.int64)
-    fr, fc = R - r0, C - c0
-    out = np.zeros(R.shape)
-    for dr, dc, wt in ((0, 0, (1 - fr) * (1 - fc)), (0, 1, (1 - fr) * fc),
-                       (1, 0, fr * (1 - fc)), (1, 1, fr * fc)):
-        ri, ci = r0 + dr, c0 + dc
-        valid = (ri >= 0) & (ri < h) & (ci >= 0) & (ci < w)
-        idx = base + np.clip(ri, 0, h - 1) * w + np.clip(ci, 0, w - 1)
-        out += wt * np.where(valid, flat[idx], 0.0)
+    W = w + 4
+    pad = _scratch(scratch, "pad", (b, h + 4, W))
+    pad[:, 2:-2, 2:-2] = imgs
+    flat = pad.reshape(-1)
+    r0, c0, fr, fc, wt, vals, out = (_scratch(scratch, k, imgs.shape)
+                                     for k in ("r0", "c0", "fr", "fc", "wt", "vals", "out"))
+    idx = _scratch(scratch, "idx", imgs.shape, np.int64)
+    np.subtract(R, np.floor(R, out=r0), out=fr)
+    np.subtract(C, np.floor(C, out=c0), out=fc)
+    # flat index of the top-left corner: image base, then padded row and column
+    np.clip(r0, -2, h, out=r0)
+    r0 *= W
+    r0 += np.clip(c0, -2, w, out=c0)
+    r0 += (np.arange(b) * ((h + 4) * W) + 2 * W + 2)[:, None, None]
+    np.copyto(idx, r0, casting="unsafe")
+    gr, gc = np.subtract(1, fr, out=r0), np.subtract(1, fc, out=c0)
+    out.fill(0.0)
+    for offset, a, z in ((0, gr, gc), (1, gr, fc), (W, fr, gc), (W + 1, fr, fc)):
+        np.take(flat[offset:], idx, out=vals)
+        vals *= np.multiply(a, z, out=wt)
+        out += vals
     return out
 
 
-def _rotate(imgs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _rotate(imgs: np.ndarray, thetas: np.ndarray, scratch: dict) -> np.ndarray:
     """Rotate each image of a block by its angle about the image center."""
     _, h, w = imgs.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    dr = rr - cy
-    dc = cc - cx
+    dr = (np.arange(h) - cy)[:, None]
+    dc = np.arange(w) - cx
     cos_t, sin_t = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
-    r_src = cy + cos_t * dr + sin_t * dc
-    c_src = cx - sin_t * dr + cos_t * dc
-    return _bilinear(imgs, r_src, c_src)
+    # (b, h, 1) row terms plus (b, 1, w) column terms
+    r_src = np.add(cy + cos_t * dr, sin_t * dc, out=_scratch(scratch, "R", imgs.shape))
+    c_src = np.add(cx - sin_t * dr, cos_t * dc, out=_scratch(scratch, "C", imgs.shape))
+    return _bilinear(imgs, r_src, c_src, scratch)
 
 
 def _moments(imgs: np.ndarray):
@@ -197,25 +220,27 @@ def _moments(imgs: np.ndarray):
     return mass, mu_r, mu_c, shear
 
 
-def _deskew(imgs: np.ndarray) -> np.ndarray:
+def _deskew(imgs: np.ndarray, scratch: dict) -> np.ndarray:
     """Deskew each image of a (b, h, w) block; see :func:`deskew`."""
     _, h, w = imgs.shape
     mass, mu_r, mu_c, s = _moments(imgs)
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    r_src = rr + (mu_r - (h - 1) / 2.0)
-    c_src = cc + (mu_c - (w - 1) / 2.0) + s * (r_src - mu_r)
-    out = _bilinear(imgs, r_src, c_src)
+    r_src = np.arange(h)[:, None] + (mu_r - (h - 1) / 2.0)
+    c_src = np.add(np.arange(w) + (mu_c - (w - 1) / 2.0), s * (r_src - mu_r),
+                   out=_scratch(scratch, "C", imgs.shape))
+    out = _bilinear(imgs, r_src, c_src, scratch)
     zero = mass.ravel() <= 0.0
     out[zero] = imgs[zero]
     return out
 
 
 def _by_blocks(resample, src: np.ndarray, dst: np.ndarray, *per_image) -> None:
-    """dst = resample(src, *per_image) over IMAGE_BLOCK images at a time, so
-    temporaries are O(IMAGE_BLOCK x pixels); dst may be src."""
+    """dst = resample(src, *per_image, scratch) over IMAGE_BLOCK images at a
+    time; temporaries are O(IMAGE_BLOCK x pixels), in this call's scratch;
+    dst may be src."""
+    scratch: dict = {}
     for i in range(0, len(src), IMAGE_BLOCK):
         j = slice(i, i + IMAGE_BLOCK)
-        dst[j] = resample(src[j], *(a[j] for a in per_image))
+        dst[j] = resample(src[j], *(a[j] for a in per_image), scratch)
 
 
 def deskew(img: np.ndarray) -> np.ndarray:
@@ -224,9 +249,14 @@ def deskew(img: np.ndarray) -> np.ndarray:
 
     Both the shear ``col' = col - s * (row - mu_row)`` and the recentering
     translation are folded into a single bilinear resampling pass.  Zero-mass
-    images are returned unchanged.
+    images are returned unchanged.  Raises ValueError unless img is 2-d with
+    every pixel in [0, 1].
     """
-    return _deskew(np.asarray(img, dtype=float)[None])[0]
+    img = np.asarray(img, dtype=float)
+    if img.ndim != 2:
+        raise ValueError(f"image must be (h, w), got shape {img.shape}")
+    _check_pixels(img)
+    return _deskew(img[None], {})[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import itertools
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from reckernel import data
 from reckernel.activation import builtin_activation
 from reckernel.data import (
     FeatureDataset,
@@ -238,6 +241,64 @@ def test_block_resampler_is_bit_identical_to_the_per_image_oracle(n):
         assert np.array_equal(deskew(img), oracles.deskew(img))
 
 
+def test_bordered_gather_is_bit_identical_to_the_masked_oracle():
+    """Blocks of 5 and then 3 images of 7 x 9 share one scratch; coordinates
+    go far outside, land on exact integers and on the rows and columns
+    -2, -1, h-1, h, h+1; edge pixels are lit so that an off-by-one in the
+    flat offset or a swapped stride reads a neighbour's pixel."""
+    rng = np.random.default_rng(11)
+    b, h, w = 8, 7, 9
+    imgs = rng.random((b, h, w))
+    imgs[:, [0, -1], :] = rng.uniform(0.9, 1.0, (b, 2, w))
+    imgs[:, :, [0, -1]] = rng.uniform(0.9, 1.0, (b, h, 2))
+
+    def coords(n):
+        special = [-1e6, -50.5, -3.0, -2.5, -2.0, -1.5, -1.0, -0.25, 0.0, 0.5, n - 1.0,
+                   n - 0.5, float(n), n + 0.5, n + 1.0, n + 1.5, n + 2.0, 60.25, 1e6]
+        x = rng.uniform(-3.0, n + 3.0, (b, h, w))
+        pick = rng.random((b, h, w)) < 0.6
+        x[pick] = rng.choice(special, pick.sum())
+        return x
+
+    R, C = coords(h), coords(w)
+    scratch = {}
+    for j in (slice(0, 5), slice(5, b)):
+        got = data._bilinear(imgs[j], R[j], C[j], scratch)
+        want = np.stack([oracles._bilinear(*a) for a in zip(imgs[j], R[j], C[j])])
+        assert got.shape == (j.stop - j.start, h, w)
+        assert np.array_equal(got, want)
+
+
+def test_concurrent_resampling_matches_sequential_bytes():
+    """Each resampling call owns its scratch: two threads rotating and
+    deskewing different datasets get the bytes of sequential calls."""
+    from reckernel.glyphs import make_corpus
+    a, b = make_corpus(150, seed=41), make_corpus(140, seed=43)
+    calls = (lambda: make_variant(a, "rotation", seed=5).images,
+             lambda: preprocess(b, ("deskew",)).X)
+    want = [f() for f in calls]
+    got = [[], []]
+
+    def run(k):
+        for _ in range(4):
+            got[k].append(calls[k]())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k in (0, 1):
+        assert len(got[k]) == 4
+        assert all(np.array_equal(g, want[k]) for g in got[k])
+
+
 # ---------------------------------------------------------------------------
 # deskew
 # ---------------------------------------------------------------------------
@@ -268,6 +329,23 @@ def test_deskew_approximately_idempotent_on_corpus():
     for img in ds.images:
         once = deskew(img)
         assert abs(shear_coefficient(once)) <= 0.02
+
+
+@pytest.mark.parametrize("img, match", [
+    (np.full((28, 28), np.nan), r"\[0, 1\]"),
+    (np.where(np.eye(28) > 0, np.inf, 0.0), r"\[0, 1\]"),
+    (np.where(np.eye(28) > 0, 1e308, 0.0), r"\[0, 1\]"),
+    (np.full((28, 28), -0.5), r"\[0, 1\]"),
+    (np.full((28, 28), 1.5), r"\[0, 1\]"),
+    (np.zeros(28), r"\(h, w\)"),
+    (np.zeros((1, 28, 28)), r"\(h, w\)"),
+], ids=["nan", "inf", "1e308", "negative", "above_one", "1-d", "3-d"])
+def test_deskew_refuses_what_a_dataset_refuses(img, match):
+    img = img.copy()
+    if img.ndim == 2:
+        img[:5, :5] = 0.3  # a NaN or overflow among valid pixels fails too
+    with pytest.raises(ValueError, match=match):
+        deskew(img)
 
 
 def test_deskew_centers_mass():
