@@ -177,13 +177,8 @@ def _shifted_erf_log_abs(j: int) -> Optional[float]:
 
 
 def _smoothed_hinge_log_abs(j: int) -> Optional[float]:
-    if j == 1:
-        return math.log(0.5)
-    if j < 2 or j % 2 == 1:
-        return None
-    m = (j - 2) // 2
-    return (m * math.log(math.pi) - math.lgamma(m + 1)
-            - math.log(2 * m + 1) - math.log(2 * m + 2))
+    lb = _shifted_erf_log_abs(j - 1) if j else None  # the integral: beta_j = beta'_(j-1) / j
+    return None if lb is None else lb - math.log(j)
 
 
 #: one shared frozen instance each, so a process tabulates each series once
@@ -269,14 +264,17 @@ def _h_log(act: Activation, L: float, log_lam: LogValue, tol: float,
     return LogValue(math.log(L) + 0.5 * log_sum), used
 
 
+def _check_capacity_args(L: float, tol: float) -> None:
+    for name, v in (("L", L), ("tol", tol)):
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
 def compute_H(act: Activation, L: float, lam: float, tol: float = 1e-12) -> LogValue:
     """The level function ``L * sqrt(sum_j 2^(j+1) beta_j^2 lam^(2j))``."""
-    if not 0 < L < math.inf:
-        raise ValueError(f"L must be positive and finite, got {L!r}")
+    _check_capacity_args(L, tol)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam!r}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     value, _ = _h_log(act, L, LogValue.from_float(lam), tol)
     return value
 
@@ -289,10 +287,7 @@ def compute_F(act: Activation, k: int, L: float, tol: float = 1e-12) -> Capacity
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 0 < L < math.inf:
-        raise ValueError(f"L must be positive and finite, got {L!r}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_capacity_args(L, tol)
     lam = LogValue.from_float(L)
     levels: list[LogValue] = []
     total_terms = 0

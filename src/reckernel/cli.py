@@ -12,8 +12,8 @@ solve.  ``bench.md`` and ``bench.csv`` are rendered from the same records.
 A config file of ``key = value`` lines (``#`` comments allowed) can preset any
 long option of a subcommand; ``train --from-manifest`` presets every option an
 earlier run recorded except ``--out-model``.  Precedence: explicit flag >
-``--config`` > ``--from-manifest`` > built-in default.  The environment variable
-RECKERNEL_DATA_DIR supplies the default --data-dir for bench.
+``--config`` > ``--from-manifest`` > built-in default.  ``train`` and ``bench``
+check their options, ``bench`` its variant names too, before reading any data.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
 """
@@ -203,7 +203,7 @@ def _load_features(images, labels, steps, limit=None):
     ds = read_idx(images, labels)
     if limit is not None and limit < ds.n:
         ds = ds.subset(np.arange(limit))
-    return ds, preprocess(ds, steps)
+    return preprocess(ds, steps)
 
 
 def _usable_rows(fds):
@@ -308,7 +308,7 @@ def cmd_bound(args) -> int:
 def cmd_gram(args) -> int:
     t0 = time.time()
     images, labels = _resolve_idx_pair(args)
-    _, fds = _load_features(images, labels, args.preprocess, args.limit)
+    fds = _load_features(images, labels, args.preprocess, args.limit)
     G = gram(KernelStack(args.k), fds.X)
     write_gram(G, args.out)
     timings = {"total": round(time.time() - t0, 3)}
@@ -323,7 +323,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss,
                       max_iters=args.max_iters, eta0=args.eta0,
                       tolerance=args.tol)
-    _, fds = _load_features(images, labels, tuple(args.preprocess), args.limit)
+    fds = _load_features(images, labels, tuple(args.preprocess), args.limit)
     hashes = _sha256s([images, labels])
     rows = _usable_rows(fds)
     if len(rows) < fds.n:
@@ -446,8 +446,7 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     if not args.data_dir:
-        raise ValueError("--data-dir is required (or set RECKERNEL_DATA_DIR); "
-                         "generate data with the synth command first")
+        raise ValueError("--data-dir is required; generate data with the synth command first")
     for flag, values, what in (("--ks", args.ks, "depth"),
                                ("--variants", args.variants, "variant")):
         if not values:
@@ -457,12 +456,16 @@ def cmd_bench(args) -> int:
             raise ValueError(f"{flag} lists {repeated} more than once")
     if min(args.ks) < 0:
         raise ValueError(f"--ks {min(args.ks)}: depth must be nonnegative")
+    kinds = ("basic",) + VARIANT_KINDS
+    unknown = [v for v in args.variants if v not in kinds]
+    if unknown:
+        raise ValueError(f"--variants {unknown[0]}: not a variant; supported: {', '.join(kinds)}")
     # every config is built, and so checked, before any split is read or fitted
     baseline_cfg = LogisticConfig(iters=args.baseline_iters)
     cfgs = {k: TrainConfig(depth=k, budget=args.B, loss=args.loss, max_iters=args.max_iters)
             for k in args.ks}
     t0 = time.time()
-    splits = {}
+    splits = []  # train, test, val: a variant draws split i from --seed + i
     for split, size in (("train", args.train), ("test", args.test), ("val", args.val)):
         ip, lp = _idx_pair(os.path.join(args.data_dir, f"basic-{split}"))
         if not os.path.exists(ip):
@@ -472,7 +475,7 @@ def cmd_bench(args) -> int:
         if not 1 <= size <= ds.n:  # an empty split would score NaN
             raise ValueError(f"--{split} {size}: the {split} split needs 1 to {ds.n} "
                              f"images, the rows of {ip}")
-        splits[split] = ds.subset(np.arange(size))
+        splits.append(ds.subset(np.arange(size)))
 
     steps = tuple(args.preprocess)
     q = builtin_activation("quadratic")
@@ -481,13 +484,10 @@ def cmd_bench(args) -> int:
     # one record per fit, in fit order: each variant's baseline, then its depths
     records = []
     for variant in args.variants:
-        tr, te, va = splits["train"], splits["test"], splits["val"]
-        if variant != "basic":
-            tr = make_variant(tr, variant, args.seed)
-            te = make_variant(te, variant, args.seed + 1)
-            va = make_variant(va, variant, args.seed + 2)
+        parts = splits if variant == "basic" else [
+            make_variant(d, variant, args.seed + i) for i, d in enumerate(splits)]
         t1 = time.time()
-        ftr, fte, fva = (preprocess(d, steps) for d in (tr, te, va))
+        ftr, fte, fva = (preprocess(d, steps) for d in parts)
         t_pre = round(time.time() - t1, 3)
         keep = _usable_rows(ftr)
         X, y = ftr.X[keep], ftr.labels[keep]
@@ -567,6 +567,15 @@ def build_parser() -> tuple:
                        help="key = value file presetting these options")
         return s
 
+    def fit_options(s):  # train and bench
+        s.add_argument("--B", type=float, default=100.0)
+        s.add_argument("--loss", default=TrainConfig.loss)
+        s.add_argument("--max-iters", type=int, default=TrainConfig.max_iters)
+
+    def split_options(s):  # synth and bench
+        for split, size in (("train", 2000), ("val", 500), ("test", 2000)):
+            s.add_argument(f"--{split}", type=int, default=size)
+
     s = sub("bound", cmd_bound, help="capacity value F(k, L) for an activation")
     s.add_argument("--activation", required=True)
     s.add_argument("--k", type=int, required=True)
@@ -586,11 +595,9 @@ def build_parser() -> tuple:
                    help="number of classes (default: infer from the labels)")
     s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
     s.add_argument("--k", type=int, default=1)
-    s.add_argument("--B", type=float, default=100.0)
-    s.add_argument("--loss", default="hinge")
-    s.add_argument("--max-iters", type=int, default=5000)
+    fit_options(s)
     s.add_argument("--eta0", type=float, default=None)
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--tol", type=float, default=TrainConfig.tolerance)
     s.add_argument("--limit", type=int, default=None)
     s.add_argument("--out-model", required=True)
     s.add_argument("--from-manifest", default=None,
@@ -620,22 +627,16 @@ def build_parser() -> tuple:
 
     s = sub("synth", cmd_synth, help="generate the procedural digit corpus")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--train", type=int, default=2000)
-    s.add_argument("--val", type=int, default=500)
-    s.add_argument("--test", type=int, default=2000)
+    split_options(s)
     s.add_argument("--seed", type=int, default=7)
 
     s = sub("bench", cmd_bench, help="desk-scale benchmark table")
-    s.add_argument("--data-dir", default=os.environ.get("RECKERNEL_DATA_DIR"))
+    s.add_argument("--data-dir", default=None)
     s.add_argument("--variants", type=_steps_list, default=("basic", "rotation"))
-    s.add_argument("--train", type=int, default=2000)
-    s.add_argument("--val", type=int, default=500)
-    s.add_argument("--test", type=int, default=2000)
+    split_options(s)
     s.add_argument("--ks", type=_int_list, default=(1, 4))
-    s.add_argument("--B", type=float, default=100.0)
-    s.add_argument("--loss", default="hinge")
-    s.add_argument("--max-iters", type=int, default=5000)
-    s.add_argument("--baseline-iters", type=int, default=400)
+    fit_options(s)
+    s.add_argument("--baseline-iters", type=int, default=LogisticConfig.iters)
     s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out-dir", default="results")

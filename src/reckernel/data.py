@@ -54,8 +54,8 @@ class ImageDataset:
         # read-only views: no copy, and the caller's arrays keep their flags
         imgs = np.asarray(self.images, dtype=float).view()
         labs = np.asarray(self.labels, dtype=np.int64).view()
-        if imgs.ndim != 3:
-            raise ValueError(f"images must be (n, h, w), got shape {imgs.shape}")
+        if imgs.ndim != 3 or 0 in imgs.shape[1:]:
+            raise ValueError(f"images must be (n, h, w) with h, w >= 1, got shape {imgs.shape}")
         if labs.shape != (imgs.shape[0],):
             raise ValueError(
                 f"{imgs.shape[0]} images but {labs.shape[0] if labs.ndim else 0} labels")
@@ -166,8 +166,8 @@ def _bilinear(imgs: np.ndarray, R: np.ndarray, C: np.ndarray, scratch: dict) -> 
     pad = _scratch(scratch, "pad", (b, h + 4, W))
     pad[:, 2:-2, 2:-2] = imgs
     flat = pad.reshape(-1)
-    r0, c0, fr, fc, wt, vals, out = (_scratch(scratch, k, imgs.shape)
-                                     for k in ("r0", "c0", "fr", "fc", "wt", "vals", "out"))
+    r0, c0, fr, fc, wt, out = (_scratch(scratch, k, imgs.shape)
+                               for k in ("r0", "c0", "fr", "fc", "wt", "out"))
     idx = _scratch(scratch, "idx", imgs.shape, np.int64)
     np.subtract(R, np.floor(R, out=r0), out=fr)
     np.subtract(C, np.floor(C, out=c0), out=fc)
@@ -180,7 +180,7 @@ def _bilinear(imgs: np.ndarray, R: np.ndarray, C: np.ndarray, scratch: dict) -> 
     gr, gc = np.subtract(1, fr, out=r0), np.subtract(1, fc, out=c0)
     out.fill(0.0)
     for offset, a, z in ((0, gr, gc), (1, gr, fc), (W, fr, gc), (W + 1, fr, fc)):
-        np.take(flat[offset:], idx, out=vals)
+        vals = np.take(flat[offset:], idx)
         vals *= np.multiply(a, z, out=wt)
         out += vals
     return out

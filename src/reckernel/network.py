@@ -142,8 +142,8 @@ def random_net(k: int, widths, L: float, activation: Activation, seed: int) -> N
     widths = [int(w) for w in widths]
     if len(widths) != k + 1:
         raise ValueError(f"expected {k + 1} widths d(0)..d({k}), got {len(widths)}")
-    if any(w < 1 for w in widths) or L <= 0:
-        raise ValueError("widths must be positive and L > 0")
+    if any(w < 1 for w in widths) or not 0 < L < math.inf:  # a NaN L fails too
+        raise ValueError(f"need positive widths and a positive finite L, got {widths}, L={L!r}")
     rng = np.random.default_rng(seed)
     mats = []
     dims = widths + [1]
@@ -289,22 +289,23 @@ def _require_saturating(act: Activation) -> None:
             f"activation {act.name!r} does not saturate; need sigmoid-like or relu-like")
 
 
-def select_margin_param(act: Activation, T: int) -> float:
-    """Smallest scale at which the transfer saturates to within s = 1/(8T).
+def _saturates(act: Activation, v: float, s: float) -> bool:
+    """``transfer(v) >= 1 - s`` and ``transfer(-v) <= s``; a NaN fails."""
+    return transfer(act, v) >= 1.0 - s and transfer(act, -v) <= s
 
-    Binary search on v for ``transfer(v) >= 1 - s`` and ``transfer(-v) <= s``;
-    the result gets a small bump so later numeric checks sit strictly inside
+
+def select_margin_param(act: Activation, T: int) -> float:
+    """Smallest scale v at which the transfer saturates to within s = 1/(8T)
+    (see :func:`_saturates`), found by binary search.
+
+    The result gets a small bump so later numeric checks sit strictly inside
     the saturated region.  s halves the 1/(4T) requirement, buying margin for
     the constant neuron.
     """
     _require_saturating(act)
     s = 1.0 / (8.0 * T)
-
-    def ok(v: float) -> bool:
-        return transfer(act, v) >= 1.0 - s and transfer(act, -v) <= s
-
     hi = 1.0
-    while not ok(hi):
+    while not _saturates(act, hi, s):
         hi *= 2.0
         if hi > 64.0:
             raise ConstructionError(
@@ -312,7 +313,7 @@ def select_margin_param(act: Activation, T: int) -> float:
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
+        if _saturates(act, mid, s):
             hi = mid
         else:
             lo = mid
@@ -332,21 +333,19 @@ def build_hardness_net(hs: HalfspaceFamily, activation: Activation,
     every neuron is emitted as a pair with biases offset by one, turning the
     unit difference of the activation into the saturating transfer.
 
-    The margin parameter must satisfy ``transfer(margin_param) >= 1 - 1/(4T)``
-    and ``transfer(-margin_param) <= 1/(4T)``; that is probed numerically and
-    a ConstructionError reports the achieved values on failure.
+    The margin parameter must saturate the transfer to within 1/(4T) (see
+    :func:`_saturates`); that is probed numerically and a ConstructionError
+    reports the achieved values on failure.
     """
     _require_saturating(activation)
     lam = float(margin_param)
     T, d = hs.T, hs.dim
-    hi_val = transfer(activation, lam)
-    lo_val = transfer(activation, -lam)
-    # negated so that a NaN margin parameter fails too
-    if not (hi_val >= 1.0 - 1.0 / (4.0 * T) and lo_val <= 1.0 / (4.0 * T)):
+    s = 1.0 / (4.0 * T)
+    if not _saturates(activation, lam, s):
         raise ConstructionError(
             f"margin parameter {lam:g} does not saturate {activation.name!r}: "
-            f"transfer(+{lam:g}) = {hi_val:.6g} (need >= {1 - 1 / (4 * T):.6g}), "
-            f"transfer(-{lam:g}) = {lo_val:.6g} (need <= {1 / (4 * T):.6g})")
+            f"transfer(+{lam:g}) = {transfer(activation, lam):.6g} (need >= {1 - s:.6g}), "
+            f"transfer(-{lam:g}) = {transfer(activation, -lam):.6g} (need <= {s:.6g})")
 
     root = math.sqrt(d + 1.0)
     # constant neuron: saturate far beyond the per-halfspace requirement so its

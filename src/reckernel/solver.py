@@ -117,8 +117,7 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if not self.tolerance > 0:  # NaN fails too
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; supported: {', '.join(LOSS_KINDS)}")
+        make_loss(self.loss, self.budget)  # refuses an unknown loss
         # negated so that NaN fails too
         if self.eta0 is not None and not self.eta0 > 0.0:
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
@@ -346,8 +345,8 @@ def sample_size(B: float, eps: float, delta: float, loss: Loss) -> int:
     """
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not 0 < B < math.inf:  # NaN fails too
+        raise ValueError(f"B must be positive and finite, got {B!r}")
     a = 2.0 * loss.rho * B * math.sqrt(2.0)
     b = loss.range_bound * math.sqrt(math.log(1.0 / delta) / 2.0)
 

@@ -5,7 +5,8 @@ an embedded network paired term by term, the one-shot (unblocked) cross-kernel
 scores, the projection of one coefficient vector onto the norm ball, the
 solver loop that recomputes ``A @ G`` at every step, the per-image bilinear
 resampling of rotation and deskew, preprocessing that copies the
-features at every step, and the capacity series summed one term at a time.
+features at every step, the capacity series summed one term at a time, and
+the smoothed hinge's series coefficients in their own closed form.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -279,6 +280,18 @@ def _logaddexp(a: float, b: float) -> float:
     if lo == -math.inf or hi == math.inf:
         return hi
     return hi + math.log1p(math.exp(lo - hi))
+
+
+def smoothed_hinge_log_abs(j: int):
+    """``ln |beta_j|`` of the smoothed hinge written out: beta_1 = 1/2, and
+    beta_(2m+2) = pi^m / (m! (2m+1) (2m+2)); None where beta_j is zero."""
+    if j == 1:
+        return math.log(0.5)
+    if j < 2 or j % 2 == 1:
+        return None
+    m = (j - 2) // 2
+    return (m * math.log(math.pi) - math.lgamma(m + 1)
+            - math.log(2 * m + 1) - math.log(2 * m + 2))
 
 
 def h_series_log(act, log_lam: LogValue, tol: float, level=None) -> tuple[float, int]:

@@ -116,6 +116,16 @@ def test_smoothed_hinge_coefficients():
     assert float(_coeff_oracle("smoothed_hinge", 4)) == pytest.approx(-math.pi / 12.0, rel=1e-15)
 
 
+def test_smoothed_hinge_series_is_the_written_out_one_bit_for_bit():
+    # the library derives it from the shifted erf's: beta_j = beta'_(j-1) / j
+    terms = range(activation.TERM_CAP + 1)
+    for j in terms:
+        assert SH.log_abs_coeff(j) == oracles.smoothed_hinge_log_abs(j), j
+    weights = [-math.inf if lb is None else (j + 1) * activation.LN2 + 2.0 * lb
+               for j, lb in enumerate(map(oracles.smoothed_hinge_log_abs, terms))]
+    assert SH._log_series_weights.tobytes() == np.array(weights).tobytes()
+
+
 def test_coefficients_are_deterministic():
     for act in (QUAD, ERF, SH):
         for j in range(40):

@@ -638,6 +638,34 @@ def test_bench_refuses_a_negative_depth_before_any_fit(tmp_path, capsys):
     assert not results.exists()
 
 
+def test_bench_refuses_an_unknown_variant_before_any_fit(tmp_path, capsys):
+    # a misspelt variant used to be refused only at its turn, after every
+    # variant before it had been fitted and printed
+    data, results = tmp_path / "data", tmp_path / "results"
+    assert main(["synth", "--out-dir", str(data), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    capsys.readouterr()
+    assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
+                 "--test", "30", "--ks", "1", "--variants", "basic,rotaton",
+                 "--max-iters", "30", "--baseline-iters", "5",
+                 "--out-dir", str(results)]) == 2
+    assert capsys.readouterr() == ("", "error: --variants rotaton: not a variant; supported: "
+                                       "basic, rotation, background, background_rotation\n")
+    assert not (results / "bench.md").exists()
+
+
+def test_bench_takes_its_data_dir_from_the_flag_alone(tmp_path, monkeypatch, capsys):
+    # an environment variable used to be a second way to set --data-dir
+    assert main(["synth", "--out-dir", str(tmp_path), "--train", "60",
+                 "--val", "10", "--test", "30"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("RECKERNEL_DATA_DIR", str(tmp_path))
+    assert main(["bench", "--out-dir", str(tmp_path / "results")]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --data-dir is required; generate data with the synth command first\n")
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--B", "-1"), ("--B", "nan"), ("--loss", "bogus"), ("--max-iters", "0"),
     ("--baseline-iters", "0"), ("--baseline-iters", "-5")])

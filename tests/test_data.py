@@ -118,6 +118,15 @@ def test_dataset_validation():
         ImageDataset(nan, np.array([0, 1]))
 
 
+@pytest.mark.filterwarnings("error")  # the refusal comes before numpy warns
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0), (0, 0, 0)])
+def test_images_with_no_pixels_are_refused(shape):
+    # preprocess used to warn of a mean of an empty slice and go on
+    with pytest.raises(ValueError, match=r"h, w >= 1, got shape"):
+        preprocess(ImageDataset(np.zeros(shape), np.zeros(shape[0], dtype=int)),
+                   ("center", "normalize"))
+
+
 # ---------------------------------------------------------------------------
 # rotation
 # ---------------------------------------------------------------------------

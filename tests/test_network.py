@@ -184,6 +184,13 @@ def test_random_net_rejects_bad_widths():
         random_net(2, [3, 4], 1.0, QUAD, 0)
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_random_net_refuses_a_budget_that_is_not_positive_and_finite(L):
+    # a NaN or infinite budget used to fail later, on a NaN weight
+    with pytest.raises(ValueError, match=f"a positive finite L, got .*, L={L!r}"):
+        random_net(1, [3, 4], L, QUAD, 0)
+
+
 # ---------------------------------------------------------------------------
 # quadratic embedding oracle
 # ---------------------------------------------------------------------------

@@ -685,3 +685,10 @@ def test_sample_size_rejects_bad_arguments():
         sample_size(1.0, 0.0, 0.1, loss)
     with pytest.raises(ValueError):
         sample_size(1.0, 0.1, 1.5, loss)
+
+
+@pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+def test_sample_size_refuses_a_budget_that_is_not_finite(B):
+    # NaN used to fail in a float-to-integer cast, inf with an OverflowError
+    with pytest.raises(ValueError, match=f"B must be positive and finite, got {B!r}"):
+        sample_size(B, 0.1, 0.1, make_loss("hinge", 1.0))
