@@ -15,7 +15,6 @@ from .kernel import (  # noqa: F401
     GramMatrix,
     KernelStack,
     gram,
-    kernel_eval,
 )
 from .network import (  # noqa: F401
     HalfspaceFamily,

@@ -28,6 +28,8 @@ KINDS = ("polynomial", "sigmoid_like", "relu_like")
 
 #: series summation stops after this many consecutive relatively-negligible terms
 CONVERGENCE_RUN = 5
+#: a term is negligible below this fraction of the running sum
+SERIES_TOL = 1e-12
 #: hard cap on series terms; hitting it without convergence is a divergence
 TERM_CAP = 10_000
 #: most series settle within a few hundred terms: sum this many before the whole table
@@ -258,28 +260,27 @@ def _h_series_log(act: Activation, log_lam: LogValue, tol: float,
         partial=LogValue(float(total[-1])), terms_used=TERM_CAP + 1, level=level)
 
 
-def _h_log(act: Activation, L: float, log_lam: LogValue, tol: float,
+def _h_log(act: Activation, L: float, log_lam: LogValue,
            level: Optional[int] = None) -> tuple[LogValue, int]:
-    log_sum, used = _h_series_log(act, log_lam, tol, level=level)
+    log_sum, used = _h_series_log(act, log_lam, SERIES_TOL, level=level)
     return LogValue(math.log(L) + 0.5 * log_sum), used
 
 
-def _check_capacity_args(L: float, tol: float) -> None:
-    for name, v in (("L", L), ("tol", tol)):
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+def _check_capacity_args(L: float) -> None:
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L!r}")
 
 
-def compute_H(act: Activation, L: float, lam: float, tol: float = 1e-12) -> LogValue:
+def compute_H(act: Activation, L: float, lam: float) -> LogValue:
     """The level function ``L * sqrt(sum_j 2^(j+1) beta_j^2 lam^(2j))``."""
-    _check_capacity_args(L, tol)
+    _check_capacity_args(L)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam!r}")
-    value, _ = _h_log(act, L, LogValue.from_float(lam), tol)
+    value, _ = _h_log(act, L, LogValue.from_float(lam))
     return value
 
 
-def compute_F(act: Activation, k: int, L: float, tol: float = 1e-12) -> CapacityReport:
+def compute_F(act: Activation, k: int, L: float) -> CapacityReport:
     """Iterate the level function k times starting at ``lam = L``.
 
     Returns all intermediate levels.  A series that fails to converge at some
@@ -287,13 +288,13 @@ def compute_F(act: Activation, k: int, L: float, tol: float = 1e-12) -> Capacity
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _check_capacity_args(L, tol)
+    _check_capacity_args(L)
     lam = LogValue.from_float(L)
     levels: list[LogValue] = []
     total_terms = 0
     non_decreasing = True
     for p in range(1, k + 1):
-        value, used = _h_log(act, L, lam, tol, level=p)
+        value, used = _h_log(act, L, lam, level=p)
         total_terms += used
         if value < lam:
             non_decreasing = False

@@ -9,11 +9,10 @@ build and ``runs``: one record per fit (each variant's logistic baseline and
 kernel depths) with test and validation error, stage times and each class's
 solve.  ``bench.md`` and ``bench.csv`` are rendered from the same records.
 
-A config file of ``key = value`` lines (``#`` comments allowed) can preset any
-long option of a subcommand; ``train --from-manifest`` presets every option an
-earlier run recorded except ``--out-model``.  Precedence: explicit flag >
-``--config`` > ``--from-manifest`` > built-in default.  ``train`` and ``bench``
-check their options, ``bench`` its variant names too, before reading any data.
+``train --from-manifest`` presets every option an earlier run recorded except
+``--out-model``.  Precedence: explicit flag > ``--from-manifest`` > built-in
+default.  ``train`` and ``bench`` check their options, ``bench`` its variant
+names too, before reading any data.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
 """
@@ -64,7 +63,7 @@ NUMERIC_ERRORS = (SeriesDivergenceError, SolverDivergenceError, NumericalError,
 
 
 # ---------------------------------------------------------------------------
-# manifest and config plumbing
+# manifest plumbing
 # ---------------------------------------------------------------------------
 
 def _sha256(path) -> str:
@@ -82,8 +81,7 @@ def _sha256s(paths) -> dict:
 def _manifest(command: str, args: argparse.Namespace, inputs: dict,
               timings: dict) -> dict:
     """``inputs`` maps each input path to its SHA-256 (see :func:`_sha256s`)."""
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "config")}
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {
         "command": command,
         "config": cfg,
@@ -123,31 +121,12 @@ def _write_manifest(manifest: dict, out_path) -> None:
         f.write("\n")
 
 
-def _load_config_file(path) -> dict:
-    values = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
 def _presets(args: argparse.Namespace) -> dict:
     """Option defaults: what the ``--from-manifest`` run recorded (keys this
-    command no longer has are skipped), then the ``--config`` file on top."""
-    options = set(vars(args)) - {"command", "func"}
-    config = _load_config_file(args.config) if args.config else {}
-    for key in config:
-        if key not in options:
-            raise ValueError(f"config key {key!r} is not an option of this command")
-    manifest = getattr(args, "from_manifest", None) or config.get("from_manifest")
+    command no longer has are skipped), or none without that flag."""
+    manifest = getattr(args, "from_manifest", None)
     if not manifest:
-        return config
+        return {}
     try:
         with open(manifest) as f:
             stored = json.load(f)
@@ -157,9 +136,9 @@ def _presets(args: argparse.Namespace) -> dict:
     if not isinstance(stored, dict):
         raise ManifestFormatError(f"{manifest}: no \"config\" object to replay")
     # the output path stays with the current invocation
-    replay = {k: tuple(v) if isinstance(v, list) else v for k, v in stored.items()
-              if k in options and k not in ("from_manifest", "out_model")}
-    return {**replay, **config}
+    options = set(vars(args)) - {"command", "func", "from_manifest", "out_model"}
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in stored.items()
+            if k in options}
 
 
 def _steps_list(text: str) -> tuple:
@@ -288,7 +267,7 @@ def _load_model(path) -> tuple:
 
 def cmd_bound(args) -> int:
     act = builtin_activation(args.activation)
-    report = compute_F(act, args.k, args.L, args.tol)
+    report = compute_F(act, args.k, args.L)
     for p, level in enumerate(report.levels, start=1):
         print(f"level {p}: log10 = {level.log10:.12g}"
               + (f"  (value = {level.to_float():.12g})" if level.log10 < 300 else ""))
@@ -563,8 +542,6 @@ def build_parser() -> tuple:
     def sub(name, func, **kwargs):
         s = subs.add_parser(name, **kwargs)
         s.set_defaults(func=func)
-        s.add_argument("--config", default=None,
-                       help="key = value file presetting these options")
         return s
 
     def fit_options(s):  # train and bench
@@ -580,7 +557,6 @@ def build_parser() -> tuple:
     s.add_argument("--activation", required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--L", type=float, required=True)
-    s.add_argument("--tol", type=float, default=1e-12)
 
     s = sub("gram", cmd_gram, help="export a kernel Gram matrix as binary")
     _add_idx_options(s)
@@ -649,8 +625,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # specific families first: several of these are ValueError subclasses
     try:
-        # presets become defaults: argparse converts string defaults with each
-        # option's type, and a flag on the command line still wins
+        # presets become defaults, so a flag on the command line still wins
         subparsers[args.command].set_defaults(**_presets(args))
         args = parser.parse_args(argv)
         # numpy would refuse a negative seed only once the command's work had begun

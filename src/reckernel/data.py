@@ -129,6 +129,9 @@ def read_idx(images_path, labels_path) -> ImageDataset:
                 f"expected {size} for shape {'x'.join(map(str, shape))}")
         arrays.append(np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(shape))
     images, labels = arrays
+    if 0 in images.shape[1:]:  # zero images is an empty set, which callers may refuse
+        raise IdxFormatError("{}: images are {}x{} pixels; each needs at least "
+                             "one row and one column".format(images_path, *images.shape[1:]))
     if len(labels) != len(images):
         raise IdxFormatError(f"count mismatch: {len(images)} images in {images_path} "
                              f"but {len(labels)} labels in {labels_path}")

@@ -134,21 +134,6 @@ def cross_kernel_blocks(depth: int, A, B, label: str = "row {}"):
         yield i, _recursion(np.matmul(rows, B.T, out=buf[:len(rows)]), depth)
 
 
-def kernel_eval(stack: KernelStack, x, y) -> float:
-    """Depth-k kernel value for two vectors in the unit ball.
-
-    The inner product is clamped to [-1, 1] before the recursion; for unit
-    inputs the result lies in [1/3, 1] at every depth >= 1.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"x and y must be 1-d vectors of equal length, got {x.shape}, {y.shape}")
-    # kernel_matrix checks only its first operand; x is checked here, first
-    _check_rows(x[None, :], "x")
-    return float(kernel_matrix(stack.depth, y, x, label="y")[0, 0])
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric matrix of pairwise kernel values at a fixed depth."""

@@ -16,7 +16,7 @@ from reckernel.baseline import LogisticConfig, predict_logistic, train_logistic
 from reckernel.cli import main as cli_main
 from reckernel.data import make_variant, preprocess
 from reckernel.glyphs import make_corpus
-from reckernel.kernel import KernelStack, gram, kernel_eval
+from reckernel.kernel import KernelStack, gram, kernel_matrix
 from reckernel.network import (brute_force_margins, build_hardness_net,
                                embed_quadratic, forward, random_halfspace_family,
                                random_net, select_margin_param)
@@ -56,7 +56,7 @@ def test_criterion_1_kernel_recursion_truncation():
     for _ in range(1000):
         d = int(rng.integers(2, 11))
         x, y = random_unit_rows(rng, 2, d)
-        kv = kernel_eval(KernelStack(1), x, y)
+        kv = kernel_matrix(1, x, y)[0, 0]
         fm = maps[d]
         dots = np.cumsum(feature_map(fm, x) * feature_map(fm, y))
         for J in range(3, jmax_for[d] + 1):

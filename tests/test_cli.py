@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,33 @@ def one_hot_dataset(tmp_path, n=3, per_class=1):
     ip, lp = tmp_path / "toy-i.idx", tmp_path / "toy-l.idx"
     write_idx(ds, ip, lp)
     return str(ip), str(lp)
+
+
+#: each subcommand's option strings, help aside: adding or dropping an option
+#: changes this table
+CLI_SURFACE = {
+    "bound": {"--activation", "--k", "--L"},
+    "gram": {"--data", "--images", "--labels", "--preprocess", "--k", "--limit", "--out"},
+    "train": {"--data", "--images", "--labels", "--classes", "--preprocess", "--k", "--B",
+              "--loss", "--max-iters", "--eta0", "--tol", "--limit", "--out-model",
+              "--from-manifest"},
+    "eval": {"--model", "--data", "--images", "--labels", "--out"},
+    "variants": {"--data", "--images", "--labels", "--kind", "--seed", "--out-images",
+                 "--out-labels"},
+    "hardness-demo": {"--d", "--T", "--budget", "--activation", "--margin-param", "--seed",
+                      "--out-net"},
+    "synth": {"--out-dir", "--train", "--val", "--test", "--seed"},
+    "bench": {"--data-dir", "--variants", "--train", "--val", "--test", "--ks", "--B",
+              "--loss", "--max-iters", "--baseline-iters", "--preprocess", "--seed",
+              "--out-dir"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    _, subparsers = cli.build_parser()
+    got = {name: {o for a in p._actions if a.dest != "help" for o in a.option_strings}
+           for name, p in subparsers.items()}
+    assert got == CLI_SURFACE
 
 
 def test_bound_quadratic(capsys):
@@ -60,7 +88,7 @@ def test_bound_divergence_names_the_level_once(capsys):
     assert "(level" not in err
 
 
-@pytest.mark.parametrize("extra", [["--L", "nan"], ["--L", "inf"], ["--L", "1", "--tol", "nan"]])
+@pytest.mark.parametrize("extra", [["--L", "nan"], ["--L", "inf"]])
 def test_bound_non_finite_input_exits_2(extra, capsys):
     # not exit 4: the series did not diverge, the input was bad
     assert main(["bound", "--activation", "shifted_erf", "--k", "2"] + extra) == 2
@@ -399,6 +427,21 @@ def test_missing_file_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--out-model", "m.json"],
+    ["variants", "--kind", "rotation", "--out-images", "o-i.idx", "--out-labels", "o-l.idx"],
+], ids=["train", "variants"])
+def test_images_without_rows_or_columns_exit_3_naming_the_file(command, tmp_path,
+                                                               monkeypatch, capsys):
+    # a well-formed 3 x 0 x 4 header used to pass for a usage error, exit 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z-images.idx").write_bytes(struct.pack(">4I", 0x803, 3, 0, 4))
+    (tmp_path / "z-labels.idx").write_bytes(struct.pack(">2I", 0x801, 3) + bytes(3))
+    assert main([*command, "--data", "z"]) == 3
+    assert capsys.readouterr().err.startswith("data error: z-images.idx: images are 0x4")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["z-images.idx", "z-labels.idx"]
+
+
 # d = 16 is the batched check over 2^16 inputs in 64 margin blocks
 @pytest.mark.parametrize("d, T", [(6, 2), (16, 3)])
 def test_hardness_demo_output(d, T, tmp_path, capsys):
@@ -733,25 +776,6 @@ def test_data_prefix_expands_to_idx_pair(tmp_path, capsys):
                  "--labels", "y", "--out-model", str(model)]) == 2
 
 
-def test_config_file_defaults_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("# capacity preset\nk = 2\nL = 1.0\n")
-    assert main(["bound", "--activation", "quadratic", "--k", "1", "--L", "1",
-                 "--config", str(cfg)]) == 0
-    # --k was left at its (required) explicit value 1... use a fresh parse where
-    # k comes from the file: flags win only when actually supplied
-    out1 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert out1["k"] == 1  # explicit flag beats the config file
-
-
-def test_config_file_unknown_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("verbosity = 3\n")
-    rc = main(["bound", "--activation", "quadratic", "--k", "1", "--L", "1",
-               "--config", str(cfg)])
-    assert rc == 2
-
-
 def _train_then_manifest(tmp_path, *extra):
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     m1 = tmp_path / "m1.json"
@@ -761,19 +785,16 @@ def _train_then_manifest(tmp_path, *extra):
 
 
 def test_explicit_flag_at_its_default_beats_config(tmp_path, capsys):
-    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("k = 4\n")
-    model = tmp_path / "m.json"
+    """A typed flag beats the config a ``--from-manifest`` run replays, even
+    when its value is the parser default."""
+    _, _, manifest = _train_then_manifest(tmp_path, "--k", "4")
+    model = tmp_path / "m2.json"
     # --k 1 is also the parser default, but it was typed, so it wins
-    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
-                 "--B", "5", "--max-iters", "50", "--k", "1", "--config", str(cfg),
+    assert main(["train", "--from-manifest", manifest, "--k", "1",
                  "--out-model", str(model)]) == 0
     assert json.loads(model.read_text())["depth"] == 1
-    # without the flag the config file presets the depth
-    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
-                 "--B", "5", "--max-iters", "50", "--config", str(cfg),
-                 "--out-model", str(model)]) == 0
+    # without the flag the manifest presets the depth
+    assert main(["train", "--from-manifest", manifest, "--out-model", str(model)]) == 0
     assert json.loads(model.read_text())["depth"] == 4
 
 
@@ -787,23 +808,6 @@ def test_explicit_flag_beats_from_manifest(tmp_path, capsys):
     assert payload["depth"] == 3 and payload["B"] == 7.0
     recorded = json.loads((tmp_path / "m2.json.manifest.json").read_text())["config"]
     assert recorded["k"] == 3 and recorded["max_iters"] == 150
-
-
-@pytest.mark.parametrize("manifest_in_config", [False, True])
-def test_config_beats_from_manifest(tmp_path, capsys, manifest_in_config):
-    ip, lp, manifest = _train_then_manifest(tmp_path, "--k", "2")
-    cfg = tmp_path / "conf.txt"
-    model = tmp_path / "m2.json"
-    if manifest_in_config:
-        cfg.write_text(f"from_manifest = {manifest}\nB = 9\n")
-        replay = []
-    else:
-        cfg.write_text("B = 9\n")
-        replay = ["--from-manifest", manifest]
-    assert main(["train", "--images", ip, "--labels", lp, "--config", str(cfg),
-                 *replay, "--out-model", str(model)]) == 0
-    payload = json.loads(model.read_text())
-    assert payload["B"] == 9.0 and payload["depth"] == 2
 
 
 def test_data_flag_against_a_manifest_with_images_and_labels_exits_2(tmp_path, capsys):

@@ -9,7 +9,6 @@ from reckernel.kernel import (
     KernelStack,
     NormBoundError,
     gram,
-    kernel_eval,
     kernel_matrix,
     read_gram,
     write_gram,
@@ -28,31 +27,29 @@ E2 = np.array([0.0, 1.0])
 # ---------------------------------------------------------------------------
 
 def test_orthogonal_inputs_walk_the_forced_recursion():
-    assert kernel_eval(KernelStack(1), E1, E2) == 0.5
-    assert kernel_eval(KernelStack(2), E1, E2) == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert kernel_eval(KernelStack(3), E1, E2) == pytest.approx(3.0 / 4.0, rel=1e-15)
+    assert kernel_matrix(1, E1, E2)[0, 0] == 0.5
+    assert kernel_matrix(2, E1, E2)[0, 0] == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert kernel_matrix(3, E1, E2)[0, 0] == pytest.approx(3.0 / 4.0, rel=1e-15)
 
 
 def test_unit_self_evaluation_is_fixed_point():
     for k in range(0, 11):
-        assert kernel_eval(KernelStack(k), E1, E1) == 1.0
+        assert kernel_matrix(k, E1, E1)[0, 0] == 1.0
 
 
 def test_antipodal_inputs():
-    assert kernel_eval(KernelStack(1), E1, -E1) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert kernel_matrix(1, E1, -E1)[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_depth_zero_is_inner_product():
     x = np.array([0.6, 0.8])
     y = np.array([0.8, -0.6])
-    assert kernel_eval(KernelStack(0), x, y) == pytest.approx(x @ y, rel=1e-15)
+    assert kernel_matrix(0, x, y)[0, 0] == pytest.approx(x @ y, rel=1e-15)
 
 
 def test_norm_violation_names_the_vector():
-    with pytest.raises(NormBoundError, match="y has l2 norm"):
-        kernel_eval(KernelStack(1), E1, 1.5 * E2)
     with pytest.raises(NormBoundError, match="x has l2 norm"):
-        kernel_eval(KernelStack(1), 1.5 * E1, E2)
+        kernel_matrix(1, 1.5 * E1, E2, label="x")
     with pytest.raises(NormBoundError, match="x has l2 norm"):
         feature_map(TruncatedFeatureMap(2, 1), 1.5 * E1)
     with pytest.raises(ValueError):
@@ -63,20 +60,7 @@ def test_norm_violation_names_the_vector():
 def test_non_finite_vector_is_rejected(bad):
     x = np.array([bad, 0.0])
     with pytest.raises(NormBoundError, match="x has non-finite l2 norm"):
-        kernel_eval(KernelStack(1), x, E1)
-    with pytest.raises(NormBoundError, match="y has non-finite l2 norm"):
-        kernel_eval(KernelStack(3), E1, x)
-
-
-@pytest.mark.parametrize("x, y", [
-    (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])),
-    (np.array(0.5), np.array(0.5)),
-    (E1, np.array([1.0, 0.0, 0.0])),
-], ids=["2-d", "0-d", "unequal-length"])
-def test_kernel_eval_refuses_what_is_not_a_vector_pair(x, y):
-    # 2-d inputs used to die in numpy's broadcasting, not in a named check
-    with pytest.raises(ValueError, match="x and y must be 1-d vectors of equal length"):
-        kernel_eval(KernelStack(1), x, y)
+        kernel_matrix(1, x, E1, label="x")
 
 
 def test_unit_pair_range():
@@ -84,7 +68,7 @@ def test_unit_pair_range():
     for _ in range(50):
         x, y = random_unit_rows(rng, 2, 6)
         for k in range(1, 5):
-            v = kernel_eval(KernelStack(k), x, y)
+            v = kernel_matrix(k, x, y)[0, 0]
             assert 1.0 / 3.0 <= v <= 1.0
 
 
@@ -94,8 +78,8 @@ def test_monotone_in_inner_product(a, b):
     lo, hi = sorted((a, b))
     x = np.array([1.0, 0.0])
     for k in range(1, 6):
-        va = kernel_eval(KernelStack(k), x, np.array([lo, np.sqrt(max(0.0, 1 - lo * lo))]))
-        vb = kernel_eval(KernelStack(k), x, np.array([hi, np.sqrt(max(0.0, 1 - hi * hi))]))
+        va = kernel_matrix(k, x, np.array([lo, np.sqrt(max(0.0, 1 - lo * lo))]))[0, 0]
+        vb = kernel_matrix(k, x, np.array([hi, np.sqrt(max(0.0, 1 - hi * hi))]))[0, 0]
         assert va <= vb + 1e-12
 
 
@@ -126,7 +110,7 @@ def test_self_norm_contraction_inside_ball():
         x = rng.normal(size=5)
         x *= rng.uniform(0.1, 1.0) / np.linalg.norm(x)
         for k in range(0, 11):
-            assert kernel_eval(KernelStack(k), x, x) <= 1.0 + 1e-12
+            assert kernel_matrix(k, x, x)[0, 0] <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def test_truncation_tail_bound_small_case():
     for _ in range(20):
         x, y = random_unit_rows(rng, 2, 2)
         ip = feature_map(fm, x) @ feature_map(fm, y)
-        kv = kernel_eval(KernelStack(1), x, y)
+        kv = kernel_matrix(1, x, y)[0, 0]
         assert abs(ip - kv) <= 2.0 ** -4
 
 
@@ -247,7 +231,7 @@ def test_truncation_tail_bound_property(X):
     for J in (4, 8, 12):
         fm = TruncatedFeatureMap(3, J)
         ip = feature_map(fm, x) @ feature_map(fm, y)
-        kv = kernel_eval(KernelStack(1), x, y)
+        kv = kernel_matrix(1, x, y)[0, 0]
         # 1e-12 slack covers roundoff when x == y makes the bound tight
         assert abs(ip - kv) <= 2.0 ** -(J + 1) + 1e-12
 
