@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import check_labels
+
 
 #: the learning rate at step t is LR / (1 + t / DECAY)
 LR = 2.0
@@ -38,6 +40,7 @@ def train_logistic(X, labels, cfg: LogisticConfig) -> np.ndarray:
     """Weight matrix (n_classes, d + 1); the last column is the bias."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
+    check_labels(labels, cfg.n_classes)
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     Y = np.zeros((n, cfg.n_classes))

@@ -4,10 +4,11 @@ Subcommands: bound, gram, train, eval, variants, hardness-demo, bench, synth.
 Every training or benchmark run writes a JSON manifest capturing the resolved
 configuration, seeds, input fingerprints, and timings; rerunning a command
 with the same flags reproduces its model files byte for byte.  ``train`` adds
-how each class's solve ended.  ``bench`` adds its peak RSS, core count, BLAS
-build and ``runs``: one record per fit (each variant's logistic baseline and
-kernel depths) with test and validation error, stage times and each class's
-solve.  ``bench.md`` and ``bench.csv`` are rendered from the same records.
+how each class's solve ended.  ``variants`` and ``bench`` add their peak RSS,
+and ``bench`` its core count, BLAS build and ``runs``: one record per fit
+(each variant's logistic baseline and kernel depths) with test and
+validation error, stage times and each class's solve.  ``bench.md`` and
+``bench.csv`` are rendered from the same records.
 
 ``train --from-manifest`` presets every option an earlier run recorded except
 ``--out-model``.  Precedence: explicit flag > ``--from-manifest`` > built-in
@@ -379,12 +380,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_variants(args) -> int:
+    t0 = time.time()
     images, labels = _resolve_idx_pair(args)
     ds = read_idx(images, labels)
     out = make_variant(ds, args.kind, args.seed)
     write_idx(out, args.out_images, args.out_labels)
-    _write_manifest(_manifest("variants", args, _sha256s([images, labels]), {}),
-                    args.out_images)
+    manifest = _manifest("variants", args, _sha256s([images, labels]),
+                         {"total": round(time.time() - t0, 3)})
+    manifest["peak_rss_mb"] = _peak_rss_mb()
+    _write_manifest(manifest, args.out_images)
     print(f"wrote {args.out_images} / {args.out_labels} ({args.kind}, n={out.n})")
     return EXIT_OK
 
@@ -468,6 +472,7 @@ def cmd_bench(args) -> int:
         t1 = time.time()
         ftr, fte, fva = (preprocess(d, steps) for d in parts)
         t_pre = round(time.time() - t1, 3)
+        del parts  # the variant's images; splits stays for the later variants
         keep = _usable_rows(ftr)
         X, y = ftr.X[keep], ftr.labels[keep]
         for k in (None, *args.ks):

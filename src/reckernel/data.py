@@ -269,21 +269,33 @@ def deskew(img: np.ndarray) -> np.ndarray:
 def _noise_patches(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
     """Two-tone low-frequency backgrounds: coarse noise upsampled and
     thresholded, at an amplitude below typical stroke brightness so the
-    per-pixel max composition keeps digits visible."""
-    coarse = rng.random((n, NOISE_GRID, NOISE_GRID))
+    per-pixel max composition keeps digits visible.  IMAGE_BLOCK grids are
+    upsampled at a time into two reused (block, h*w) buffers, so memory is
+    the (n, h, w) result plus O(IMAGE_BLOCK x pixels)."""
+    coarse = rng.random((n, NOISE_GRID, NOISE_GRID)).reshape(n, NOISE_GRID * NOISE_GRID)
     rows = np.linspace(0, NOISE_GRID - 1, h)
     cols = np.linspace(0, NOISE_GRID - 1, w)
     r0 = np.floor(rows).astype(int)
     c0 = np.floor(cols).astype(int)
     r1 = np.minimum(r0 + 1, NOISE_GRID - 1)
     c1 = np.minimum(c0 + 1, NOISE_GRID - 1)
-    fr = (rows - r0)[None, :, None]
-    fc = (cols - c0)[None, None, :]
-    up = ((1 - fr) * (1 - fc) * coarse[:, r0][:, :, c0]
-          + (1 - fr) * fc * coarse[:, r0][:, :, c1]
-          + fr * (1 - fc) * coarse[:, r1][:, :, c0]
-          + fr * fc * coarse[:, r1][:, :, c1])
-    return NOISE_AMPLITUDE * (up > NOISE_THRESHOLD).astype(float)
+    fr = (rows - r0)[:, None]
+    fc = cols - c0
+    # per corner, over the h*w pixels: its bilinear weight and the flat index
+    # of the coarse value it weighs
+    corners = [((a * b).ravel(), (NOISE_GRID * r[:, None] + c).ravel())
+               for a, r in ((1 - fr, r0), (fr, r1)) for b, c in ((1 - fc, c0), (fc, c1))]
+    out = np.empty((n, h, w))
+    flat = out.reshape(n, h * w)
+    acc, term = np.empty((2, min(n, IMAGE_BLOCK), h * w))
+    for i in range(0, n, IMAGE_BLOCK):
+        block = coarse[i:i + IMAGE_BLOCK]
+        up, t = acc[:len(block)], term[:len(block)]
+        up.fill(0.0)
+        for wt, idx in corners:  # summed left to right
+            up += np.multiply(wt, block[:, idx], out=t)
+        np.multiply(up > NOISE_THRESHOLD, NOISE_AMPLITUDE, out=flat[i:i + len(block)])
+    return out
 
 
 def make_variant(ds: ImageDataset, kind: str, seed: int,
@@ -358,5 +370,6 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
             zero = norms < 1e-12
             flagged = tuple(int(i) for i in np.nonzero(zero)[0])
             X /= np.where(zero, 1.0, norms)[:, None]
+            X[zero] = 0.0  # a centering residue under the cut is not yet zero
     return FeatureDataset(X=X, labels=ds.labels, fingerprint=steps,
                           flagged_rows=flagged)

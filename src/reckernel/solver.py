@@ -305,6 +305,16 @@ def train(X, y, cfg: TrainConfig,
     return _fit(np.asarray(X, dtype=float), y[None], (1,), cfg, cb)
 
 
+def check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Refuse a label that is not a class index 0..n_classes-1, naming the
+    first such row: it would otherwise train as no class, or wrap onto one."""
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes) | (labels != np.trunc(labels)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"label {labels[i]} at row {i} is not a class index "
+                         f"0..{n_classes - 1} ({bad.size} offending rows)")
+
+
 def train_multiclass(X, labels, cfg: TrainConfig,
                      callback: Optional[Callable[[int, int, float, float], None]] = None,
                      n_classes: Optional[int] = None) -> OneVsAllPredictor:
@@ -322,11 +332,9 @@ def train_multiclass(X, labels, cfg: TrainConfig,
         raise ValueError("labels must be one integer per row of X")
     if n_classes is None:
         n_classes = int(labels.max()) + 1 if len(labels) else 0
-    elif len(labels) and int(labels.max()) >= n_classes:
-        raise ValueError(
-            f"labels reach {int(labels.max())} but only {n_classes} classes requested")
     if n_classes < 2:
         raise ValueError("multiclass training needs at least 2 classes")
+    check_labels(labels, n_classes)
     present = set(int(v) for v in np.unique(labels))
     missing = [c for c in range(n_classes) if c not in present]
     if missing:

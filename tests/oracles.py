@@ -4,9 +4,10 @@ network evaluated one neuron at a time and one activation call per element,
 an embedded network paired term by term, the one-shot (unblocked) cross-kernel
 scores, the projection of one coefficient vector onto the norm ball, the
 solver loop that recomputes ``A @ G`` at every step, the per-image bilinear
-resampling of rotation and deskew, preprocessing that copies the
-features at every step, the capacity series summed one term at a time, and
-the smoothed hinge's series coefficients in their own closed form.
+resampling of rotation and deskew, background noise patches upsampled for
+all images at once, preprocessing that copies the features at every step,
+the capacity series summed one term at a time, and the smoothed hinge's
+series coefficients in their own closed form.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -20,7 +21,7 @@ import numpy as np
 
 from reckernel.activation import (CONVERGENCE_RUN, LN2, TERM_CAP, LogValue,
                                   SeriesDivergenceError)
-from reckernel.data import FeatureDataset
+from reckernel.data import NOISE_AMPLITUDE, NOISE_GRID, NOISE_THRESHOLD, FeatureDataset
 from reckernel.kernel import _check_rows, kernel_matrix
 from reckernel.network import NetworkStructureError
 from reckernel.solver import (NumericalError, SolveReport, SolverDivergenceError,
@@ -254,6 +255,25 @@ def deskew(img: np.ndarray) -> np.ndarray:
     return _bilinear(img, r_src, c_src)
 
 
+def noise_patches(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
+    """``data._noise_patches`` for all n images at once: each corner's
+    weighted coarse values an (n, h, w) array, summed, then thresholded."""
+    coarse = rng.random((n, NOISE_GRID, NOISE_GRID))
+    rows = np.linspace(0, NOISE_GRID - 1, h)
+    cols = np.linspace(0, NOISE_GRID - 1, w)
+    r0 = np.floor(rows).astype(int)
+    c0 = np.floor(cols).astype(int)
+    r1 = np.minimum(r0 + 1, NOISE_GRID - 1)
+    c1 = np.minimum(c0 + 1, NOISE_GRID - 1)
+    fr = (rows - r0)[None, :, None]
+    fc = (cols - c0)[None, None, :]
+    up = ((1 - fr) * (1 - fc) * coarse[:, r0][:, :, c0]
+          + (1 - fr) * fc * coarse[:, r0][:, :, c1]
+          + fr * (1 - fc) * coarse[:, r1][:, :, c0]
+          + fr * fc * coarse[:, r1][:, :, c1])
+    return NOISE_AMPLITUDE * (up > NOISE_THRESHOLD).astype(float)
+
+
 def preprocess_out_of_place(ds, steps) -> FeatureDataset:
     """``data.preprocess`` with a new feature array at every step: a stacked
     list of the per-image :func:`deskew`, ``X - mean`` and ``X / norms``."""
@@ -270,7 +290,7 @@ def preprocess_out_of_place(ds, steps) -> FeatureDataset:
             norms = np.linalg.norm(X, axis=1)
             zero = norms < 1e-12
             flagged = tuple(int(i) for i in np.nonzero(zero)[0])
-            X = X / np.where(zero, 1.0, norms)[:, None]
+            X = np.where(zero[:, None], 0.0, X / np.where(zero, 1.0, norms)[:, None])
     return FeatureDataset(X=X, labels=ds.labels, fingerprint=steps, flagged_rows=flagged)
 
 

@@ -515,6 +515,17 @@ def test_variants_command_round_trip(kind, tmp_path, capsys):
     assert main(["eval", "--model", model, "--data", out]) == 0
 
 
+def test_variants_manifest_records_time_and_memory(tmp_path):
+    assert main(["synth", "--out-dir", str(tmp_path), "--train", "30", "--val", "0",
+                 "--test", "0"]) == 0
+    out = str(tmp_path / "bg")
+    assert main(["variants", "--data", str(tmp_path / "basic-train"), "--kind", "background",
+                 "--out-images", out + "-images.idx", "--out-labels", out + "-labels.idx"]) == 0
+    manifest = json.loads((tmp_path / "bg-images.idx.manifest.json").read_text())
+    assert set(manifest["timings_s"]) == {"total"} and manifest["timings_s"]["total"] >= 0
+    assert manifest["peak_rss_mb"] > 0
+
+
 @pytest.mark.parametrize("command", [
     ["synth", "--out-dir", "{d}/out"],
     ["variants", "--data", "{d}/basic-train", "--kind", "rotation",

@@ -208,6 +208,16 @@ def test_baseline_learns_the_basic_corpus():
     assert err < 0.15
 
 
+@pytest.mark.parametrize("bad, row", [(-1, 7), (3, 2), (1.5, 4)])
+def test_baseline_refuses_a_label_that_is_not_a_class(bad, row):
+    # -1 used to wrap onto the last class, 3 and 1.5 raised a bare IndexError
+    X = np.random.default_rng(2).normal(size=(8, 4))
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, 2], dtype=float)
+    labels[row] = bad
+    with pytest.raises(ValueError, match=rf"label {float(bad)} at row {row} is not a class index 0\.\.2"):
+        train_logistic(X, labels, LogisticConfig(n_classes=3, iters=5))
+
+
 def test_densify_counts_points_from_the_same_rounded_length():
     # this segment is 2 steps long up to its last bit: a dot product with a
     # fused multiply-add and a plain sum of squares round it to either side

@@ -221,6 +221,29 @@ def test_variant_hooks_must_match_the_dataset(hook, value):
         make_variant(byte_dataset(3), kind, seed=0, **{hook: value})
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_block_noise_patches_are_bit_identical_to_the_whole_array_oracle(n):
+    for seed in (0, 1, 104729):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for h, w in ((28, 28), (9, 13)):
+            got = data._noise_patches(rng, n, h, w)
+            assert got.tobytes() == oracles.noise_patches(ref, n, h, w).tobytes()
+        assert rng.random() == ref.random()  # the same draws, no more
+
+
+def test_noise_patch_memory_is_the_output_plus_a_block():
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        patches = data._noise_patches(rng, 2000, 28, 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-array formula peaked at 3x the output: four corner products,
+    # the threshold mask and its float copy, each (n, h, w)
+    assert peak <= patches.nbytes + 4 * 2**20
+
+
 def resampler_fixture(n):
     """n images: glyphs, and among them a zero image, a one-row stroke (its
     var(row) is 3e-30 from rounding, under the 1e-12 cut but not 0) and a lone
@@ -381,10 +404,13 @@ def test_preprocess_full_pipeline_unit_norm(small_corpus):
 
 
 def test_preprocess_constant_image_flagged():
-    ds = ImageDataset(np.full((2, 4, 4), 0.5), np.array([0, 1]))
-    fds = preprocess(ds, ("center", "normalize"))
-    assert fds.flagged_rows == (0, 1)
-    assert np.all(fds.X == 0.0)
+    # centering 0.5 on 4 x 4 is exact; 0.3 and 0.9 on 28 x 28 leave a
+    # residue of norm 1.6e-15 and 3.1e-15, under the cut but not zero
+    for images in (np.full((2, 4, 4), 0.5), np.stack([np.full((28, 28), 0.3),
+                                                      np.full((28, 28), 0.9)])):
+        fds = preprocess(ImageDataset(images, np.array([0, 1])), ("center", "normalize"))
+        assert fds.flagged_rows == (0, 1)
+        assert np.all(fds.X == 0.0)
 
 
 def test_preprocess_center_is_mean_zero(small_corpus):

@@ -619,6 +619,16 @@ def test_multiclass_missing_class_raises():
                          TrainConfig(depth=1, budget=1.0))
 
 
+@pytest.mark.parametrize("n_classes", [None, 3])
+@pytest.mark.parametrize("bad", [-1, 1.5])
+def test_multiclass_refuses_a_label_that_is_not_a_class(bad, n_classes):
+    # the last row used to train silently as a negative of every class
+    X = random_unit_rows(np.random.default_rng(12), 8, 4)
+    labels = np.array([0, 1, 2, 0, 1, 2, 0, bad])
+    with pytest.raises(ValueError, match=rf"label {bad} at row 7 is not a class index 0\.\.2"):
+        train_multiclass(X, labels, TrainConfig(depth=1, budget=1.0), n_classes=n_classes)
+
+
 def test_multiclass_constraints_hold_for_every_class():
     rng = np.random.default_rng(10)
     X = random_unit_rows(rng, 20, 6)
