@@ -15,6 +15,8 @@ validation error, stage times and each class's solve.  ``bench.md`` and
 default.  ``train`` and ``bench`` check their options, ``bench`` its variant
 names too, before reading any data.
 
+A dataset is one IDX pair, named by ``--images FILE --labels FILE``.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric failure.
 """
 
@@ -33,8 +35,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .activation import (SeriesDivergenceError, UnknownActivationError,
-                         builtin_activation, compute_F)
+from .activation import SeriesDivergenceError, builtin_activation, compute_F
 from .baseline import LogisticConfig, predict_logistic, train_logistic
 from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS,
                    make_variant, preprocess, read_idx, write_idx)
@@ -43,9 +44,8 @@ from .kernel import GramFormatError, KernelStack, NormBoundError, gram, write_gr
 from .network import (ConstructionError, brute_force_margins,
                       build_hardness_net, net_to_json, random_halfspace_family,
                       required_budget, select_margin_param)
-from .solver import (DegenerateClassError, NumericalError,
-                     OneVsAllPredictor, SolverDivergenceError, TrainConfig,
-                     train_multiclass)
+from .solver import (NumericalError, OneVsAllPredictor, SolverDivergenceError,
+                     TrainConfig, check_labels, train_multiclass)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +57,7 @@ class ManifestFormatError(ValueError):
     """A ``--from-manifest`` file is not a manifest with a ``config`` object."""
 
 
-USAGE_ERRORS = (UnknownActivationError, DegenerateClassError, ValueError)
+USAGE_ERRORS = (ValueError,)
 DATA_ERRORS = (IdxFormatError, GramFormatError, ManifestFormatError, FileNotFoundError)
 NUMERIC_ERRORS = (SeriesDivergenceError, SolverDivergenceError, NumericalError,
                   ConstructionError, NormBoundError, OverflowError)
@@ -159,21 +159,15 @@ def _idx_pair(prefix) -> tuple:
 
 
 def _add_idx_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", default=None,
-                        help="IDX pair prefix (PREFIX-images.idx / PREFIX-labels.idx)")
     parser.add_argument("--images", default=None)
     parser.add_argument("--labels", default=None)
 
 
 def _resolve_idx_pair(args) -> tuple:
-    """Accept either --data PREFIX (see :func:`_idx_pair`) or the explicit
-    --images/--labels pair."""
-    if args.data:
-        if args.images or args.labels:
-            raise ValueError("pass either --data or --images/--labels, not both")
-        return _idx_pair(args.data)
+    """The --images/--labels pair.  Not argparse's ``required=True``: that is
+    checked before ``--from-manifest`` presets the recorded pair."""
     if not (args.images and args.labels):
-        raise ValueError("need --data PREFIX or both --images and --labels")
+        raise ValueError("need both --images and --labels")
     return args.images, args.labels
 
 
@@ -317,7 +311,7 @@ def cmd_train(args) -> int:
             history.append((c, t, best))
 
     t1 = time.time()
-    pred = train_multiclass(X, y, cfg, callback=cb, n_classes=args.classes)
+    pred = train_multiclass(X, y, cfg, callback=cb)
     t2 = time.time()
     train_err = float((pred.classify_many(X) != y).mean())
 
@@ -356,12 +350,10 @@ def cmd_eval(args) -> int:
         raise IdxFormatError("{}: images are {}x{}, but the model's support images are "
                              "{}x{}".format(images, *ds.images.shape[1:], *size))
     n_classes = len(pred.classes)
-    bad = np.nonzero(ds.labels >= n_classes)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise IdxFormatError(
-            f"{labels}: label {int(ds.labels[i])} at row {i} is out of range for "
-            f"a model with {n_classes} classes ({bad.size} offending rows)")
+    try:
+        check_labels(ds.labels, n_classes)
+    except ValueError as e:
+        raise IdxFormatError(f"{labels}: {e}") from None
     fds = preprocess(ds, steps)
     guesses = pred.classify_many(fds.X)
     err = float((guesses != fds.labels).mean())
@@ -572,8 +564,6 @@ def build_parser() -> tuple:
 
     s = sub("train", cmd_train, help="train a one-vs-all kernel model")
     _add_idx_options(s)
-    s.add_argument("--classes", type=int, default=None,
-                   help="number of classes (default: infer from the labels)")
     s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
     s.add_argument("--k", type=int, default=1)
     fit_options(s)

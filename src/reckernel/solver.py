@@ -331,7 +331,9 @@ def train_multiclass(X, labels, cfg: TrainConfig,
     if labels.ndim != 1 or len(labels) != len(X):
         raise ValueError("labels must be one integer per row of X")
     if n_classes is None:
-        n_classes = int(labels.max()) + 1 if len(labels) else 0
+        # from the whole labels alone, so that check_labels names a NaN's row
+        whole = np.isfinite(labels) & (labels == np.trunc(labels))
+        n_classes = int(np.max(labels, where=whole, initial=-1)) + 1
     if n_classes < 2:
         raise ValueError("multiclass training needs at least 2 classes")
     check_labels(labels, n_classes)

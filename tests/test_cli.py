@@ -1,6 +1,8 @@
 import csv
 import json
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,17 +30,21 @@ def one_hot_dataset(tmp_path, n=3, per_class=1):
     return str(ip), str(lp)
 
 
+def idx_flags(prefix):
+    """``--images``/``--labels`` for the pair that ``synth`` writes as
+    PREFIX-images.idx and PREFIX-labels.idx."""
+    return ["--images", f"{prefix}-images.idx", "--labels", f"{prefix}-labels.idx"]
+
+
 #: each subcommand's option strings, help aside: adding or dropping an option
 #: changes this table
 CLI_SURFACE = {
     "bound": {"--activation", "--k", "--L"},
-    "gram": {"--data", "--images", "--labels", "--preprocess", "--k", "--limit", "--out"},
-    "train": {"--data", "--images", "--labels", "--classes", "--preprocess", "--k", "--B",
-              "--loss", "--max-iters", "--eta0", "--tol", "--limit", "--out-model",
-              "--from-manifest"},
-    "eval": {"--model", "--data", "--images", "--labels", "--out"},
-    "variants": {"--data", "--images", "--labels", "--kind", "--seed", "--out-images",
-                 "--out-labels"},
+    "gram": {"--images", "--labels", "--preprocess", "--k", "--limit", "--out"},
+    "train": {"--images", "--labels", "--preprocess", "--k", "--B", "--loss", "--max-iters",
+              "--eta0", "--tol", "--limit", "--out-model", "--from-manifest"},
+    "eval": {"--model", "--images", "--labels", "--out"},
+    "variants": {"--images", "--labels", "--kind", "--seed", "--out-images", "--out-labels"},
     "hardness-demo": {"--d", "--T", "--budget", "--activation", "--margin-param", "--seed",
                       "--out-net"},
     "synth": {"--out-dir", "--train", "--val", "--test", "--seed"},
@@ -53,6 +59,21 @@ def test_each_subcommand_takes_exactly_its_options():
     got = {name: {o for a in p._actions if a.dest != "help" for o in a.option_strings}
            for name, p in subparsers.items()}
     assert got == CLI_SURFACE
+
+
+def test_readme_cli_examples_parse():
+    # parsed, not run: an option deleted from the CLI fails here, not in a reader's shell
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("reckernel ")]
+    parser, subparsers = cli.build_parser()
+    assert {argv[1] for argv in commands} == set(subparsers)
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def test_bound_quadratic(capsys):
@@ -264,8 +285,23 @@ def test_eval_out_of_range_label_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:")
-    assert "label 12 at row 4" in err and "3 classes" in err
+    assert "label 12 at row 4" in err and "0..2" in err
     assert "Traceback" not in err
+
+
+def test_train_with_a_class_missing_exits_2(tmp_path, capsys):
+    # labels {0, 2}: class 1 lies below the inferred count and never occurs
+    imgs = np.zeros((4, 28, 28))
+    for i in range(4):
+        imgs[i, 5 + i, 5] = 1.0
+    write_idx(ImageDataset(imgs, np.array([0, 2, 0, 2])), tmp_path / "d-i.idx",
+              tmp_path / "d-l.idx")
+    model = tmp_path / "m.json"
+    assert main(["train", "--images", str(tmp_path / "d-i.idx"),
+                 "--labels", str(tmp_path / "d-l.idx"), "--out-model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "classes [1] never occur" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d-i.idx", "d-l.idx"]
 
 
 def _toy_model(tmp_path):
@@ -437,7 +473,7 @@ def test_images_without_rows_or_columns_exit_3_naming_the_file(command, tmp_path
     monkeypatch.chdir(tmp_path)
     (tmp_path / "z-images.idx").write_bytes(struct.pack(">4I", 0x803, 3, 0, 4))
     (tmp_path / "z-labels.idx").write_bytes(struct.pack(">2I", 0x801, 3) + bytes(3))
-    assert main([*command, "--data", "z"]) == 3
+    assert main([*command, "--images", "z-images.idx", "--labels", "z-labels.idx"]) == 3
     assert capsys.readouterr().err.startswith("data error: z-images.idx: images are 0x4")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["z-images.idx", "z-labels.idx"]
 
@@ -504,22 +540,22 @@ def test_variants_command_round_trip(kind, tmp_path, capsys):
     assert main(["synth", "--out-dir", str(tmp_path), "--train", "30", "--val", "0",
                  "--test", "0"]) == 0
     basic, out = str(tmp_path / "basic-train"), str(tmp_path / kind)
-    assert main(["variants", "--data", basic, "--kind", kind, "--seed", "3",
+    assert main(["variants", *idx_flags(basic), "--kind", kind, "--seed", "3",
                  "--out-images", out + "-images.idx", "--out-labels", out + "-labels.idx"]) == 0
     back = read_idx(out + "-images.idx", out + "-labels.idx")
     orig = read_idx(basic + "-images.idx", basic + "-labels.idx")
     assert np.array_equal(back.labels, orig.labels)
     # the variant trains and evaluates through the default deskew/center/normalize pipeline
     model = str(tmp_path / "m.json")
-    assert main(["train", "--data", out, "--max-iters", "50", "--out-model", model]) == 0
-    assert main(["eval", "--model", model, "--data", out]) == 0
+    assert main(["train", *idx_flags(out), "--max-iters", "50", "--out-model", model]) == 0
+    assert main(["eval", "--model", model, *idx_flags(out)]) == 0
 
 
 def test_variants_manifest_records_time_and_memory(tmp_path):
     assert main(["synth", "--out-dir", str(tmp_path), "--train", "30", "--val", "0",
                  "--test", "0"]) == 0
     out = str(tmp_path / "bg")
-    assert main(["variants", "--data", str(tmp_path / "basic-train"), "--kind", "background",
+    assert main(["variants", *idx_flags(tmp_path / "basic-train"), "--kind", "background",
                  "--out-images", out + "-images.idx", "--out-labels", out + "-labels.idx"]) == 0
     manifest = json.loads((tmp_path / "bg-images.idx.manifest.json").read_text())
     assert set(manifest["timings_s"]) == {"total"} and manifest["timings_s"]["total"] >= 0
@@ -528,7 +564,8 @@ def test_variants_manifest_records_time_and_memory(tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["synth", "--out-dir", "{d}/out"],
-    ["variants", "--data", "{d}/basic-train", "--kind", "rotation",
+    ["variants", "--images", "{d}/basic-train-images.idx",
+     "--labels", "{d}/basic-train-labels.idx", "--kind", "rotation",
      "--out-images", "{d}/r-i.idx", "--out-labels", "{d}/r-l.idx"],
     ["hardness-demo", "--d", "6", "--T", "2", "--out-net", "{d}/net.json"],
     ["bench", "--data-dir", "{d}", "--train", "60", "--val", "10", "--test", "30",
@@ -770,23 +807,6 @@ def test_limit_below_one_is_a_usage_error(command, limit, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_data_prefix_expands_to_idx_pair(tmp_path, capsys):
-    imgs = np.zeros((4, 28, 28))
-    for i in range(4):
-        imgs[i, 5 + (i % 2), 5] = 1.0
-    ds = ImageDataset(imgs, np.array([0, 1, 0, 1]))
-    write_idx(ds, tmp_path / "toy-images.idx", tmp_path / "toy-labels.idx")
-    model = tmp_path / "m.json"
-    assert main(["train", "--data", str(tmp_path / "toy"), "--preprocess",
-                 "normalize", "--B", "5", "--max-iters", "100",
-                 "--classes", "2", "--out-model", str(model)]) == 0
-    assert main(["eval", "--model", str(model), "--data", str(tmp_path / "toy")]) == 0
-    assert "error=0.00%" in capsys.readouterr().out
-    # both forms at once is a usage error
-    assert main(["train", "--data", str(tmp_path / "toy"), "--images", "x",
-                 "--labels", "y", "--out-model", str(model)]) == 2
-
-
 def _train_then_manifest(tmp_path, *extra):
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     m1 = tmp_path / "m1.json"
@@ -821,11 +841,33 @@ def test_explicit_flag_beats_from_manifest(tmp_path, capsys):
     assert recorded["k"] == 3 and recorded["max_iters"] == 150
 
 
-def test_data_flag_against_a_manifest_with_images_and_labels_exits_2(tmp_path, capsys):
+def _older_manifest(manifest):
+    """``manifest`` as the CLI recorded it while it still had ``--data`` and
+    ``train --classes``."""
+    stored = json.loads(Path(manifest).read_text())
+    stored["config"].update(data=str(Path(manifest).parent / "toy"), classes=3,
+                            images=None, labels=None)
+    Path(manifest).write_text(json.dumps(stored))
+
+
+def test_replaying_a_data_manifest_needs_images_and_labels(tmp_path, monkeypatch, capsys):
     _, _, manifest = _train_then_manifest(tmp_path)
+    _older_manifest(manifest)
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "read_idx", lambda *a: pytest.fail("read data"))
     capsys.readouterr()
-    rc = main(["train", "--data", str(tmp_path / "toy"), "--from-manifest", manifest,
-               "--out-model", str(tmp_path / "m2.json")])
-    assert rc == 2
-    assert "not both" in capsys.readouterr().err
-    assert not (tmp_path / "m2.json").exists()
+    assert main(["train", "--from-manifest", manifest,
+                 "--out-model", str(tmp_path / "m2.json")]) == 2
+    assert capsys.readouterr().err == "error: need both --images and --labels\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_replaying_a_data_manifest_with_images_and_labels_writes_the_same_model(tmp_path):
+    ip, lp, manifest = _train_then_manifest(tmp_path)
+    _older_manifest(manifest)
+    replay = tmp_path / "m2.json"
+    assert main(["train", "--images", ip, "--labels", lp, "--from-manifest", manifest,
+                 "--out-model", str(replay)]) == 0
+    assert replay.read_bytes() == (tmp_path / "m1.json").read_bytes()
+    recorded = json.loads((tmp_path / "m2.json.manifest.json").read_text())["config"]
+    assert "data" not in recorded and "classes" not in recorded

@@ -87,8 +87,8 @@ def test_replay_in_a_fresh_process_writes_the_same_model_bytes(tmp_path, capsys)
     data, model = tmp_path / "basic-train", tmp_path / "m.json"
     assert main(["synth", "--out-dir", str(tmp_path), "--train", "30", "--val", "0",
                  "--test", "0"]) == 0
-    assert main(["train", "--data", str(data), "--max-iters", "50",
-                 "--out-model", str(model)]) == 0
+    assert main(["train", "--images", f"{data}-images.idx", "--labels", f"{data}-labels.idx",
+                 "--max-iters", "50", "--out-model", str(model)]) == 0
     replay = tmp_path / "replay.json"
     proc = python("-m", "reckernel.cli", "train", "--from-manifest", f"{model}.manifest.json",
                   "--out-model", str(replay))

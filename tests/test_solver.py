@@ -620,9 +620,10 @@ def test_multiclass_missing_class_raises():
 
 
 @pytest.mark.parametrize("n_classes", [None, 3])
-@pytest.mark.parametrize("bad", [-1, 1.5])
+@pytest.mark.parametrize("bad", [-1, 1.5, np.nan])
 def test_multiclass_refuses_a_label_that_is_not_a_class(bad, n_classes):
-    # the last row used to train silently as a negative of every class
+    # the last row used to train silently as a negative of every class; a NaN
+    # without n_classes failed in numpy's int(), naming no row
     X = random_unit_rows(np.random.default_rng(12), 8, 4)
     labels = np.array([0, 1, 2, 0, 1, 2, 0, bad])
     with pytest.raises(ValueError, match=rf"label {bad} at row 7 is not a class index 0\.\.2"):
