@@ -12,16 +12,13 @@ from .activation import (  # noqa: F401
     compute_H,
 )
 from .kernel import (  # noqa: F401
-    GramMatrix,
-    KernelStack,
-    gram,
+    kernel_matrix,
 )
 from .network import (  # noqa: F401
     HalfspaceFamily,
     NeuralNet,
     build_hardness_net,
     embed_quadratic,
-    eval_halfspaces,
     forward,
     forward_many,
     random_net,

@@ -2,18 +2,18 @@
 
 Subcommands: bound, gram, train, eval, variants, hardness-demo, bench, synth.
 Every training or benchmark run writes a JSON manifest capturing the resolved
-configuration, seeds, input fingerprints, and timings; rerunning a command
-with the same flags reproduces its model files byte for byte.  ``train`` adds
-how each class's solve ended.  ``variants`` and ``bench`` add their peak RSS,
-and ``bench`` its core count, BLAS build and ``runs``: one record per fit
-(each variant's logistic baseline and kernel depths) with test and
-validation error, stage times and each class's solve.  ``bench.md`` and
-``bench.csv`` are rendered from the same records.
+configuration, seeds, input fingerprints, timings, the process's peak RSS,
+the core count and numpy's BLAS build; rerunning a command with the same
+flags reproduces its model files byte for byte.  ``train`` adds how each
+class's solve ended, and ``bench`` its ``runs``: one record per fit (each
+variant's logistic baseline and kernel depths) with test and validation
+error, stage times and each class's solve.  ``bench.md`` and ``bench.csv``
+are rendered from the same records.
 
 ``train --from-manifest`` presets every option an earlier run recorded except
 ``--out-model``.  Precedence: explicit flag > ``--from-manifest`` > built-in
-default.  ``train`` and ``bench`` check their options, ``bench`` its variant
-names too, before reading any data.
+default.  ``gram``, ``train``, ``synth`` and ``bench`` check their options,
+``bench`` its variant names too, before reading or writing any data.
 
 A dataset is one IDX pair, named by ``--images FILE --labels FILE``.
 
@@ -40,7 +40,7 @@ from .baseline import LogisticConfig, predict_logistic, train_logistic
 from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS,
                    make_variant, preprocess, read_idx, write_idx)
 from .glyphs import make_corpus
-from .kernel import GramFormatError, KernelStack, NormBoundError, gram, write_gram
+from .kernel import GramFormatError, NormBoundError, kernel_matrix, write_gram
 from .network import (ConstructionError, brute_force_margins,
                       build_hardness_net, net_to_json, random_halfspace_family,
                       required_budget, select_margin_param)
@@ -81,7 +81,8 @@ def _sha256s(paths) -> dict:
 
 def _manifest(command: str, args: argparse.Namespace, inputs: dict,
               timings: dict) -> dict:
-    """``inputs`` maps each input path to its SHA-256 (see :func:`_sha256s`)."""
+    """``inputs`` maps each input path to its SHA-256 (see :func:`_sha256s`).
+    Call it last: it records the peak RSS so far."""
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     return {
         "command": command,
@@ -90,6 +91,8 @@ def _manifest(command: str, args: argparse.Namespace, inputs: dict,
         "version": __version__,
         "inputs": inputs,
         "timings_s": timings,
+        **_machine(),
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
@@ -99,7 +102,7 @@ def _solve_records(pred: OneVsAllPredictor) -> list:
 
 
 def _machine() -> dict:
-    """What a benchmark ran on: usable cores and numpy's BLAS build."""
+    """What a command ran on: usable cores and numpy's BLAS build."""
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     try:
@@ -280,14 +283,16 @@ def cmd_bound(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    if args.k < 0:
+        raise ValueError(f"--k {args.k}: depth must be nonnegative")
     t0 = time.time()
     images, labels = _resolve_idx_pair(args)
     fds = _load_features(images, labels, args.preprocess, args.limit)
-    G = gram(KernelStack(args.k), fds.X)
-    write_gram(G, args.out)
+    G = kernel_matrix(args.k, fds.X)
+    write_gram(G, args.k, args.out)
     timings = {"total": round(time.time() - t0, 3)}
     _write_manifest(_manifest("gram", args, _sha256s([images, labels]), timings), args.out)
-    print(f"wrote {args.out}: n={G.n} depth={G.depth}")
+    print(f"wrote {args.out}: n={len(G)} depth={args.k}")
     return EXIT_OK
 
 
@@ -377,10 +382,8 @@ def cmd_variants(args) -> int:
     ds = read_idx(images, labels)
     out = make_variant(ds, args.kind, args.seed)
     write_idx(out, args.out_images, args.out_labels)
-    manifest = _manifest("variants", args, _sha256s([images, labels]),
-                         {"total": round(time.time() - t0, 3)})
-    manifest["peak_rss_mb"] = _peak_rss_mb()
-    _write_manifest(manifest, args.out_images)
+    _write_manifest(_manifest("variants", args, _sha256s([images, labels]),
+                              {"total": round(time.time() - t0, 3)}), args.out_images)
     print(f"wrote {args.out_images} / {args.out_labels} ({args.kind}, n={out.n})")
     return EXIT_OK
 
@@ -406,8 +409,11 @@ def cmd_hardness_demo(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     sizes = {"train": args.train, "val": args.val, "test": args.test}
+    for split, size in sizes.items():
+        if size < 0:  # numpy would refuse it only once --out-dir exists
+            raise ValueError(f"--{split} {size}: must be a nonnegative integer")
+    os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.time()
     for i, (split, size) in enumerate(sizes.items()):
         ds = make_corpus(size, seed=args.seed + i)
@@ -519,7 +525,7 @@ def cmd_bench(args) -> int:
             f.write(f"\"{r['method']}\",{r['variant']},{r['test_error']!r},"
                     f"{runtime(r):.3f},{r['val_error']!r}\n")
     manifest = _manifest("bench", args, {}, {"total": round(time.time() - t0, 3)})
-    manifest.update(_machine(), runs=records, peak_rss_mb=_peak_rss_mb())
+    manifest["runs"] = records
     _write_manifest(manifest, os.path.join(args.out_dir, "bench"))
     print(f"table: {md_path}  csv: {csv_path}  total {time.time() - t0:.1f}s")
     return EXIT_OK

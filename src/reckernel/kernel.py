@@ -30,17 +30,6 @@ class GramFormatError(ValueError):
     """A Gram export file is malformed."""
 
 
-@dataclass(frozen=True)
-class KernelStack:
-    """Kernel recursion depth; depth 0 is the plain inner product."""
-
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
-
-
 #: rows per block of :func:`row_norms` and :func:`cross_kernel_blocks`, so
 #: their temporaries are O(ROW_BLOCK x columns) whatever the row count
 ROW_BLOCK = 1024
@@ -134,16 +123,25 @@ def cross_kernel_blocks(depth: int, A, B, label: str = "row {}"):
         yield i, _recursion(np.matmul(rows, B.T, out=buf[:len(rows)]), depth)
 
 
+# ``KernelStack``, ``GramMatrix`` and ``gram`` remain only because perfbench/ calls them.
+
+@dataclass(frozen=True)
+class KernelStack:
+    """Kernel recursion depth; depth 0 is the plain inner product."""
+
+    depth: int
+
+    def __post_init__(self):
+        if self.depth < 0:
+            raise ValueError("depth must be nonnegative")
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric matrix of pairwise kernel values at a fixed depth."""
 
     entries: np.ndarray
     depth: int
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def gram(stack: KernelStack, X) -> GramMatrix:
@@ -158,14 +156,16 @@ def gram(stack: KernelStack, X) -> GramMatrix:
 # as row-major little-endian float64
 # ---------------------------------------------------------------------------
 
-def write_gram(gm: GramMatrix, path) -> None:
+def write_gram(G, depth: int, path) -> None:
+    """Write the n x n kernel matrix G of the given depth to ``path``."""
     with open(path, "wb") as f:
         f.write(GRAM_MAGIC)
-        f.write(struct.pack("<II", gm.n, gm.depth))
-        f.write(np.ascontiguousarray(gm.entries, dtype="<f8").tobytes())
+        f.write(struct.pack("<II", len(G), depth))
+        f.write(np.ascontiguousarray(G, dtype="<f8").tobytes())
 
 
-def read_gram(path) -> GramMatrix:
+def read_gram(path) -> tuple:
+    """``(G, depth)`` from a file :func:`write_gram` wrote; G is read-only."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != GRAM_MAGIC:
@@ -177,6 +177,6 @@ def read_gram(path) -> GramMatrix:
     if len(blob) != want:
         raise GramFormatError(
             f"{path}: expected {want} bytes for n={n}, got {len(blob)}")
-    entries = np.frombuffer(blob[12:], dtype="<f8").reshape(n, n).copy()
-    entries.setflags(write=False)
-    return GramMatrix(entries=entries, depth=depth)
+    G = np.frombuffer(blob[12:], dtype="<f8").reshape(n, n).copy()
+    G.setflags(write=False)
+    return G, depth

@@ -266,14 +266,6 @@ def _labels(hs: HalfspaceFamily, X) -> np.ndarray:
     return np.where(np.all(fires, axis=-1), 1, -1)
 
 
-def eval_halfspaces(hs: HalfspaceFamily, x) -> int:
-    """+1 when every halfspace fires on x in {-1,1}^d, else -1."""
-    x = np.asarray(x)
-    if x.shape != (hs.dim,) or not np.all(np.abs(x) == 1):
-        raise ValueError(f"x must lie in {{-1,1}}^{hs.dim}")
-    return int(_labels(hs, x))
-
-
 def extend_input(x) -> np.ndarray:
     """Append the constant coordinate to x, or to each row of x, and scale
     onto the unit sphere."""
@@ -426,7 +418,7 @@ def brute_force_margins(net: NeuralNet, hs: HalfspaceFamily) -> MarginReport:
     halfspace intersection; hinge loss is max(0, 1 - margin).  Many inputs
     can share the least margin; ``worst_input`` is the first one, in
     ``itertools.product((-1, 1), repeat=d)`` order.  Every margin equals
-    ``eval_halfspaces(hs, x) * forward(net, extend_input(x))`` bit for bit.
+    x's label times ``forward(net, extend_input(x))`` bit for bit.
     A NaN or infinite margin, which finite weights reach only through
     overflow, raises OverflowError naming the first such input.
     """

@@ -6,8 +6,9 @@ scores, the projection of one coefficient vector onto the norm ball, the
 solver loop that recomputes ``A @ G`` at every step, the per-image bilinear
 resampling of rotation and deskew, background noise patches upsampled for
 all images at once, preprocessing that copies the features at every step,
-the capacity series summed one term at a time, and the smoothed hinge's
-series coefficients in their own closed form.
+the capacity series summed one term at a time, the smoothed hinge's
+series coefficients in their own closed form, and the halfspace
+intersection's label of one input in Python integers.
 
 The depth-1 kernel re-embeds through the product feature map whose
 (k_1, ..., k_j) coordinate is ``2^(-(j+1)/2) x_{k_1} ... x_{k_j}``; truncating
@@ -346,3 +347,13 @@ def h_series_log(act, log_lam: LogValue, tol: float, level=None) -> tuple[float,
     raise SeriesDivergenceError(
         f"capacity series for {act.name!r} did not converge within {TERM_CAP} terms",
         partial=LogValue(total), terms_used=TERM_CAP + 1, level=level)
+
+
+def halfspace_label(hs, x) -> int:
+    """+1 when every halfspace of ``hs`` has ``w.x - b >= 1`` at x in
+    {-1,1}^d, else -1, summed one coordinate at a time in Python integers."""
+    x = [int(v) for v in x]
+    for w, b in zip(hs.weights.tolist(), hs.offsets.tolist()):
+        if sum(wi * xi for wi, xi in zip(w, x)) - b < 1:
+            return -1
+    return 1

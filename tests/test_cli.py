@@ -61,15 +61,21 @@ def test_each_subcommand_takes_exactly_its_options():
     assert got == CLI_SURFACE
 
 
+def _commands(block):
+    """The ``reckernel`` lines of a bash block, continuations joined, split
+    into argv lists without their comments."""
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("reckernel ")]
+
+
 def test_readme_cli_examples_parse():
     # parsed, not run: an option deleted from the CLI fails here, not in a reader's shell
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("reckernel ")]
+    blocks = [b.split("```", 1)[0] for b in readme.split("```bash\n")[1:]]
+    cli_block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     parser, subparsers = cli.build_parser()
-    assert {argv[1] for argv in commands} == set(subparsers)
-    for argv in commands:
+    assert {argv[1] for argv in _commands(cli_block)} == set(subparsers)
+    for argv in (argv for block in blocks for argv in _commands(block)):
         try:
             parser.parse_args(argv[1:])
         except SystemExit:
@@ -122,10 +128,20 @@ def test_gram_export_decodes(tmp_path, capsys):
     out = tmp_path / "g.bin"
     assert main(["gram", "--images", ip, "--labels", lp, "--preprocess", "normalize",
                  "--k", "1", "--limit", "2", "--out", str(out)]) == 0
-    G = read_gram(out)
-    assert G.n == 2 and G.depth == 1
-    assert G.entries.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+    G, depth = read_gram(out)
+    assert depth == 1
+    assert G.tolist() == [[1.0, 0.5], [0.5, 1.0]]
     assert (tmp_path / "g.bin.manifest.json").exists()
+
+
+def test_gram_refuses_a_negative_depth_before_reading(tmp_path, capsys):
+    # it used to read and preprocess the images first: exit 3 on a missing file
+    out = tmp_path / "g.bin"
+    assert main(["gram", "--images", str(tmp_path / "missing-i.idx"),
+                 "--labels", str(tmp_path / "missing-l.idx"), "--k", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --k -1: depth must be nonnegative\n"
+    assert not out.exists()
 
 
 def test_train_eval_toy_three_classes(tmp_path, capsys):
@@ -430,6 +446,15 @@ def test_synth_with_an_empty_split(tmp_path, capsys):
                     tmp_path / "basic-train-labels.idx").n == 20
 
 
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_synth_refuses_a_negative_split_before_making_its_directory(split, tmp_path, capsys):
+    # it used to create --out-dir, then exit 2 with numpy's "negative dimensions"
+    out = tmp_path / "out"
+    assert main(["synth", "--out-dir", str(out), f"--{split}", "-1"]) == 2
+    assert capsys.readouterr().err == f"error: --{split} -1: must be a nonnegative integer\n"
+    assert not out.exists()
+
+
 def test_eval_preprocesses_only_the_support_rows(tmp_path, capsys, monkeypatch):
     # 40 glyphs, a zero image among the first 12 (flagged, so dropped), and a
     # model trained on those 12 with the full deskew/center/normalize pipeline
@@ -640,6 +665,26 @@ def test_bench_manifest_records_what_each_fit_used(bench_results):
         assert all(v >= 0 for v in r["seconds"].values())
         assert all(r["seconds"]["preprocess"] == k["seconds"]["preprocess"]
                    for k in kernel if k["variant"] == variant)
+
+
+def test_every_manifest_carries_the_same_top_level_keys(bench_results, tmp_path):
+    data = bench_results.parent / "data"
+    pair = idx_flags(data / "basic-train")
+    assert main(["gram", *pair, "--limit", "5", "--out", str(tmp_path / "g.bin")]) == 0
+    assert main(["train", *pair, "--max-iters", "5", "--out-model", str(tmp_path / "m.json")]) == 0
+    assert main(["variants", *pair, "--kind", "rotation", "--out-images",
+                 str(tmp_path / "r-i.idx"), "--out-labels", str(tmp_path / "r-l.idx")]) == 0
+    manifests = {name: json.loads(Path(f"{path}.manifest.json").read_text()) for name, path in (
+        ("synth", data / "basic"), ("gram", tmp_path / "g.bin"), ("train", tmp_path / "m.json"),
+        ("variants", tmp_path / "r-i.idx"), ("bench", bench_results / "bench"))}
+    common = {"command", "config", "seed", "version", "inputs", "timings_s", "nproc", "blas",
+              "peak_rss_mb"}
+    extra = {"train": {"solve"}, "bench": {"runs"}}
+    for name, manifest in manifests.items():
+        assert manifest["command"] == name
+        assert set(manifest) == common | extra.get(name, set()), name
+        assert manifest["nproc"] >= 1 and manifest["peak_rss_mb"] > 0
+        assert set(manifest["blas"]) == {"name", "version"}
 
 
 def test_bench_table_csv_and_manifest_agree(bench_results):

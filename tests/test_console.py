@@ -1,7 +1,7 @@
 """What only a separate process shows: the console script's exit code, the
-modules that importing the CLI loads, the scripts, and a replay that shares
-no state with its training run.  Each check starts ``python`` on this
-checkout's ``src``, so it tests this tree and not an installed copy."""
+modules that importing the CLI loads, the capacity-table script, and a replay
+that shares no state with its training run.  Each check starts ``python`` on
+this checkout's ``src``, so it tests this tree and not an installed copy."""
 
 import json
 import math
@@ -74,13 +74,6 @@ def test_capacity_table_script_exits_quietly_when_its_reader_leaves():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == ""
-
-
-def test_desk_bench_script_parses_its_options():
-    # its real run is 5000-step fits on 2000 rows, too slow for this suite
-    proc = python(str(ROOT / "scripts" / "run_desk_bench.py"), "--help")
-    assert proc.returncode == 0, proc.stderr
-    assert "--full" in proc.stdout
 
 
 def test_replay_in_a_fresh_process_writes_the_same_model_bytes(tmp_path, capsys):

@@ -247,19 +247,20 @@ def test_feature_map_rejects_wrong_dimension():
 
 def test_gram_export_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    G = gram(KernelStack(2), random_unit_rows(rng, 9, 4))
+    G = kernel_matrix(2, random_unit_rows(rng, 9, 4))
     path = tmp_path / "g.bin"
-    write_gram(G, path)
-    back = read_gram(path)
-    assert back.depth == 2
-    assert np.array_equal(back.entries, G.entries)
+    write_gram(G, 2, path)
+    back, depth = read_gram(path)
+    assert depth == 2
+    assert np.array_equal(back, G)
+    assert not back.flags.writeable
 
 
 def test_gram_export_rejects_corruption(tmp_path):
     rng = np.random.default_rng(8)
-    G = gram(KernelStack(1), random_unit_rows(rng, 4, 3))
+    G = kernel_matrix(1, random_unit_rows(rng, 4, 3))
     path = tmp_path / "g.bin"
-    write_gram(G, path)
+    write_gram(G, 1, path)
     blob = path.read_bytes()
     (tmp_path / "bad_magic.bin").write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(GramFormatError, match="magic"):

@@ -17,7 +17,6 @@ from reckernel.network import (
     brute_force_margins,
     build_hardness_net,
     embed_quadratic,
-    eval_halfspaces,
     extend_input,
     forward,
     forward_many,
@@ -30,7 +29,7 @@ from reckernel.network import (
 )
 
 from oracles import (TruncatedFeatureMap, embedded_evaluate, feature_map, forward_loop,
-                     forward_many_elementwise, to_dense)
+                     forward_many_elementwise, halfspace_label, to_dense)
 
 QUAD = builtin_activation("quadratic")
 ERF = builtin_activation("shifted_erf")
@@ -265,14 +264,14 @@ def test_embed_dense_pairs_with_feature_map():
 
 def test_eval_halfspaces_single():
     hs = HalfspaceFamily(np.array([[1, 1]]), np.array([0]), budget=4)
-    assert eval_halfspaces(hs, [1, 1]) == 1
-    assert eval_halfspaces(hs, [-1, -1]) == -1
+    for bits, label in (([1, 1], 1), ([-1, -1], -1)):
+        assert network._labels(hs, bits) == halfspace_label(hs, bits) == label
 
 
 def test_eval_halfspaces_contradictory_pair():
     hs = HalfspaceFamily(np.array([[1, 1], [-1, -1]]), np.array([0, 0]), budget=4)
     for bits in ([1, 1], [1, -1], [-1, 1], [-1, -1]):
-        assert eval_halfspaces(hs, bits) == -1
+        assert network._labels(hs, bits) == halfspace_label(hs, bits) == -1
 
 
 def test_halfspace_budget_enforced():
@@ -377,11 +376,11 @@ def test_margin_param_saturates_both_sides():
 # ---------------------------------------------------------------------------
 
 def scalar_margins(net, hs):
-    """One eval_halfspaces and one forward() per input, in product order."""
+    """One halfspace_label and one forward() per input, in product order."""
     worst, worst_x = math.inf, ()
     for bits in itertools.product((-1, 1), repeat=hs.dim):
         x = np.array(bits)
-        margin = eval_halfspaces(hs, x) * forward(net, extend_input(x))
+        margin = halfspace_label(hs, bits) * forward(net, extend_input(x))
         if margin < worst:
             worst, worst_x = margin, bits
     return MarginReport(min_margin=worst, max_hinge_loss=max(0.0, 1.0 - worst),
@@ -457,8 +456,7 @@ def test_margin_tie_goes_to_the_first_input_in_product_order():
     hs = HalfspaceFamily(np.array([[1, 1, 1]]), np.array([0]), budget=4)
     net = build_hardness_net(hs, ERF, select_margin_param(ERF, 1))
     tied = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
-    scalar = [eval_halfspaces(hs, np.array(x)) * forward(net, extend_input(np.array(x)))
-              for x in tied]
+    scalar = [halfspace_label(hs, x) * forward(net, extend_input(np.array(x))) for x in tied]
     assert scalar[0] == scalar[1] == scalar[2]
     assert scalar_margins(net, hs).worst_input == tied[0]
     assert brute_force_margins(net, hs).worst_input == tied[0]

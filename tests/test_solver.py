@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reckernel.kernel import ROW_BLOCK, KernelStack, NormBoundError, gram
+from reckernel.kernel import ROW_BLOCK, KernelStack, NormBoundError, gram, kernel_matrix
 from reckernel.solver import (
     REFRESH,
     DegenerateClassError,
@@ -246,6 +247,30 @@ def test_solver_matches_feasible_region_oracle(name, X, y, kind, B, cfg):
     got = objective_of(X, y, kind, B, a, depth=cfg.depth)
     assert abs(got - oracle) <= 1e-3, f"{name}: solver {got} vs oracle {oracle}"
     assert a @ G @ a <= B * B * (1 + 1e-9)
+
+
+#: step counts of the convergence-rate test, fixed before its first run
+RATE_STEPS = (1, 3, 10, 30, 100, 300, 1000, 3000)
+
+
+@pytest.mark.parametrize("name,X,y,kind,B,cfg", solver_fixture_set(),
+                         ids=[case[0] for case in solver_fixture_set()])
+def test_best_objective_meets_the_subgradient_rate(name, X, y, kind, B, cfg):
+    """Projected subgradient descent from 0 with steps ``(B / rho) / sqrt(t)``
+    and RKHS subgradients of norm <= rho (K(x, x) = 1 on unit rows) has
+    ``f_best(T) - f* <= rho B (1 + H_T) / (4 (sqrt(T + 1) - 1))`` after T
+    iterates, H_T the T-th harmonic number.  The oracle is at least f*, so
+    gating the gap to it errs on the safe side.  The window is off and the
+    step is the default.  The slack of 1e-12 covers the rounding of an
+    objective of a few terms of size <= (B + 1)^2."""
+    G = kernel_matrix(cfg.depth, X)
+    loss = make_loss(kind, B)
+    oracle = ellipsoid_oracle(G, y, loss, B)
+    for T in RATE_STEPS:
+        report = train(X, y, dataclasses.replace(cfg, max_iters=T, patience=T + 1)).reports[0]
+        harmonic = sum(1.0 / t for t in range(1, T + 1))
+        bound = loss.rho * B * (1.0 + harmonic) / (4.0 * (math.sqrt(T + 1) - 1.0))
+        assert report.best_objective - oracle <= bound + 1e-12, (name, T)
 
 
 # ---------------------------------------------------------------------------
