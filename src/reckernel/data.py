@@ -266,13 +266,10 @@ def deskew(img: np.ndarray) -> np.ndarray:
 # variants
 # ---------------------------------------------------------------------------
 
-def _noise_patches(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
-    """Two-tone low-frequency backgrounds: coarse noise upsampled and
-    thresholded, at an amplitude below typical stroke brightness so the
-    per-pixel max composition keeps digits visible.  IMAGE_BLOCK grids are
-    upsampled at a time into two reused (block, h*w) buffers, so memory is
-    the (n, h, w) result plus O(IMAGE_BLOCK x pixels)."""
-    coarse = rng.random((n, NOISE_GRID, NOISE_GRID)).reshape(n, NOISE_GRID * NOISE_GRID)
+def _noise_weights(h: int, w: int) -> np.ndarray:
+    """(NOISE_GRID**2, h*w) bilinear upsampling weights: column p holds pixel
+    p's four corner weights, each in the row of the coarse value it weighs;
+    a corner repeated at the last row or column weighs 0."""
     rows = np.linspace(0, NOISE_GRID - 1, h)
     cols = np.linspace(0, NOISE_GRID - 1, w)
     r0 = np.floor(rows).astype(int)
@@ -281,20 +278,29 @@ def _noise_patches(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarr
     c1 = np.minimum(c0 + 1, NOISE_GRID - 1)
     fr = (rows - r0)[:, None]
     fc = cols - c0
-    # per corner, over the h*w pixels: its bilinear weight and the flat index
-    # of the coarse value it weighs
-    corners = [((a * b).ravel(), (NOISE_GRID * r[:, None] + c).ravel())
-               for a, r in ((1 - fr, r0), (fr, r1)) for b, c in ((1 - fc, c0), (fc, c1))]
+    weights = np.zeros((NOISE_GRID * NOISE_GRID, h * w))
+    for a, r in ((1 - fr, r0), (fr, r1)):
+        for b, c in ((1 - fc, c0), (fc, c1)):
+            np.add.at(weights, ((NOISE_GRID * r[:, None] + c).ravel(), np.arange(h * w)),
+                      (a * b).ravel())
+    return weights
+
+
+def _noise_patches(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
+    """Two-tone low-frequency backgrounds: coarse noise upsampled and
+    thresholded, at an amplitude below typical stroke brightness so the
+    per-pixel max composition keeps digits visible.  IMAGE_BLOCK grids at a
+    time are upsampled by one product with :func:`_noise_weights` and
+    thresholded through one reused (block, h*w) mask, so memory is the
+    (n, h, w) result plus O(IMAGE_BLOCK x pixels)."""
+    coarse = rng.random((n, NOISE_GRID, NOISE_GRID)).reshape(n, NOISE_GRID * NOISE_GRID)
+    weights = _noise_weights(h, w)
     out = np.empty((n, h, w))
     flat = out.reshape(n, h * w)
-    acc, term = np.empty((2, min(n, IMAGE_BLOCK), h * w))
+    mask = np.empty((min(n, IMAGE_BLOCK), h * w), dtype=bool)
     for i in range(0, n, IMAGE_BLOCK):
-        block = coarse[i:i + IMAGE_BLOCK]
-        up, t = acc[:len(block)], term[:len(block)]
-        up.fill(0.0)
-        for wt, idx in corners:  # summed left to right
-            up += np.multiply(wt, block[:, idx], out=t)
-        np.multiply(up > NOISE_THRESHOLD, NOISE_AMPLITUDE, out=flat[i:i + len(block)])
+        up = np.matmul(coarse[i:i + IMAGE_BLOCK], weights, out=flat[i:i + IMAGE_BLOCK])
+        np.multiply(np.greater(up, NOISE_THRESHOLD, out=mask[:len(up)]), NOISE_AMPLITUDE, out=up)
     return out
 
 
@@ -307,26 +313,36 @@ def make_variant(ds: ImageDataset, kind: str, seed: int,
     background: per-pixel max with a binary noise patch.
     background_rotation: rotation first, then background.
     Deterministic given the seed (angles are drawn before patches); ``angles``
-    (n,) and ``patches`` (n, h, w) are test hooks overriding the draws.
+    (n,) and ``patches`` (n, h, w) are test hooks overriding the draws; a hook
+    the kind does not draw is refused.  The max is taken in place in an array
+    this call made: its own patches, else the rotated images.
     """
     if kind not in VARIANT_KINDS:
         raise ValueError(f"kind must be one of {VARIANT_KINDS}, got {kind!r}")
+    rotates, backgrounds = kind != "background", kind != "rotation"
     rng = np.random.default_rng(seed)
     imgs = ds.images
     n, h, w = imgs.shape
-    for name, hook, shape in (("angles", angles, (n,)), ("patches", patches, (n, h, w))):
+    for name, hook, shape, drawn in (("angles", angles, (n,), rotates),
+                                     ("patches", patches, (n, h, w), backgrounds)):
+        if hook is not None and not drawn:
+            raise ValueError(f"{name} given, but the {kind!r} variant draws no {name}")
         if hook is not None and np.shape(hook) != shape:
             raise ValueError(f"{name} must have shape {shape}, got {np.shape(hook)}")
         if hook is not None and not np.isfinite(hook).all():
             raise ValueError(f"{name} must be finite")
-    if kind in ("rotation", "background_rotation"):
+    if rotates:
         thetas = rng.uniform(0.0, 2.0 * np.pi, size=n) if angles is None else np.asarray(angles)
         imgs = np.empty((n, h, w))
         _by_blocks(_rotate, ds.images, imgs, thetas)
         np.clip(imgs, 0.0, 1.0, out=imgs)
-    if kind in ("background", "background_rotation"):
+    if backgrounds:
         pats = _noise_patches(rng, n, h, w) if patches is None else np.asarray(patches)
-        imgs = np.maximum(imgs, pats)
+        # into this call's patches when it drew them: the rotated images,
+        # allocated first, are then the array freed, and malloc reuses the
+        # heap (composing into them page-faulted in every repeated call)
+        own = pats if patches is None else (imgs if rotates else None)
+        imgs = np.maximum(imgs, pats, out=own)
     return ImageDataset(images=imgs, labels=ds.labels, tag=kind)
 
 

@@ -146,7 +146,10 @@ def _render_block(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def make_corpus(n: int, seed: int) -> ImageDataset:
     """Balanced shuffled corpus of n glyphs, quantized to byte precision so a
-    round trip through the IDX container is exact."""
+    round trip through the IDX container is exact.  Raises ValueError unless
+    n is a nonnegative integer."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     rng = np.random.default_rng(seed)
     labels = (np.arange(n) % 10)[rng.permutation(n)]
     images = np.empty((n, SIZE, SIZE))

@@ -11,15 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from reckernel.activation import builtin_activation, compute_F, compute_H
+from reckernel.activation import (SeriesDivergenceError, builtin_activation, compute_F,
+                                  compute_H)
 from reckernel.baseline import LogisticConfig, predict_logistic, train_logistic
 from reckernel.cli import main as cli_main
 from reckernel.data import make_variant, preprocess
 from reckernel.glyphs import make_corpus
 from reckernel.kernel import KernelStack, gram, kernel_matrix
 from reckernel.network import (brute_force_margins, build_hardness_net,
-                               embed_quadratic, forward, random_halfspace_family,
-                               random_net, select_margin_param)
+                               embed_quadratic, forward, forward_many,
+                               random_halfspace_family, random_net, select_margin_param)
 from reckernel.solver import TrainConfig, make_loss, sample_size, train, train_multiclass
 
 from conftest import ellipsoid_oracle, objective_of, random_unit_rows, solver_fixture_set
@@ -297,3 +298,53 @@ def test_criterion_10_train_determinism(tmp_path):
     ok = m1.read_bytes() == m2.read_bytes()
     report(10, ok, f"two identically-configured training runs produced "
                    f"byte-identical model files ({m1.stat().st_size} bytes)")
+
+
+# ---------------------------------------------------------------------------
+# 11. the inclusion lemma: a net's RKHS norm is at most F(k, L)
+# ---------------------------------------------------------------------------
+
+def test_criterion_11_rkhs_norm_witness_below_capacity():
+    """A net with k hidden layers of budget L (l2 first rows, l1 later rows,
+    as ``random_net`` draws them) lies in the depth-k kernel's RKHS with
+    ``||f||_(H_k) <= F(k, L)``.  For any coefficients a on points X,
+    Cauchy-Schwarz in the RKHS gives ``||f||_H >= a'f / sqrt(a'Ga)``, with f
+    the net's outputs on X and ``G = kernel_matrix(k, X)``; the witness is
+    the largest such bound over ``a = (G + mu I)^-1 f``.  Every a gives a
+    valid bound, so an ill-conditioned G can only weaken the witness.  The
+    check catches a kernel or series that under-covers the network and a
+    gross error in F.  It does not tell kernel depths apart: on these
+    points the three depth-2 nets' witnesses under kernel depths 1, 2 and 4
+    were within a factor of 2.1 of each other.  Points where F diverges are
+    left out."""
+    t0 = time.time()
+    X = random_unit_rows(np.random.default_rng(1111), 600, 6)
+    rows, quad_ok = [], True
+    for k in (1, 2, 3):
+        G = kernel_matrix(k, X)
+        for act in (QUAD, ERF, SH):
+            for L in (0.5, 1.0):
+                try:
+                    F = compute_F(act, k, L).value.to_float()
+                except SeriesDivergenceError:
+                    continue
+                nets = [random_net(k, [6] + [4] * k, L, act, seed=s) for s in (100, 101, 102)]
+                f = np.stack([forward_many(net, X) for net in nets], axis=1)
+                witness = np.zeros(len(nets))
+                for mu in (1e-10, 1e-8, 1e-6):
+                    a = np.linalg.solve(G + mu * np.eye(len(X)), f)
+                    aGa = (a * (G @ a)).sum(axis=0)
+                    witness = np.maximum(witness, (a * f).sum(axis=0) / np.sqrt(aGa))
+                rows.append((act.name, k, L, witness.max() / F))
+                if act is QUAD and k == 1:
+                    norms = np.array([embed_quadratic(net).norm for net in nets])
+                    quad_ok &= bool((witness <= norms * (1 + 1e-9)).all())
+    elapsed = time.time() - t0
+    worst = max(ratio for *_, ratio in rows)
+    print("\nbuiltin          k    L    max witness / F over 3 nets")
+    for name, k, L, ratio in rows:
+        print(f"{name:<15} {k:2d} {L:4.1f}    {ratio:.3g}")
+    ok = worst <= 1.0 + 1e-9 and quad_ok and len(rows) == 15
+    report(11, ok, f"RKHS-norm witness <= F(k, L) * (1 + 1e-9) at {len(rows)} converging "
+                   f"(builtin, k, L) points x 3 nets, worst ratio {worst:.3g}; quadratic k = 1 "
+                   f"witness <= embed_quadratic norm: {quad_ok}, {elapsed:.1f}s")

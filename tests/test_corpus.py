@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,12 @@ def test_empty_corpus_has_no_images():
     ds = make_corpus(0, seed=1)
     assert ds.images.shape == (0, glyphs.SIZE, glyphs.SIZE)
     assert ds.labels.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 3.0, "4", None])
+def test_corpus_refuses_a_count_that_is_not_a_nonnegative_integer(n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be a nonnegative integer, got {n!r}")):
+        make_corpus(n, seed=0)
 
 
 def _splat_one(pts, thickness, brightness):

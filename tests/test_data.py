@@ -221,14 +221,62 @@ def test_variant_hooks_must_match_the_dataset(hook, value):
         make_variant(byte_dataset(3), kind, seed=0, **{hook: value})
 
 
+@pytest.mark.parametrize("kind, hook, value", [
+    ("rotation", "patches", np.zeros((3, 28, 28))), ("background", "angles", np.zeros(3)),
+])
+def test_a_hook_the_kind_does_not_draw_is_refused(kind, hook, value):
+    with pytest.raises(ValueError, match=f"{hook} given, but the '{kind}' variant"):
+        make_variant(byte_dataset(3), kind, seed=0, **{hook: value})
+
+
+@pytest.mark.parametrize("kind", ["background", "background_rotation"])
+def test_background_leaves_the_images_and_the_patches_hook_unchanged(kind):
+    ds = byte_dataset(3)
+    images = ds.images.copy()
+    patches = np.full((3, 28, 28), 0.5)
+    out = make_variant(ds, kind, seed=0, patches=patches)
+    assert np.array_equal(patches, np.full((3, 28, 28), 0.5))
+    assert np.array_equal(ds.images, images)
+    assert out.images.min() >= 0.5
+
+
+@pytest.mark.parametrize("kind, outputs", [("background", 1), ("background_rotation", 2)])
+def test_background_variant_memory_is_what_the_kind_must_hold(kind, outputs):
+    # the max is taken in place in an array the call made, so no third
+    # (n, h, w) array: with one, the peaks were 23.9 and 35.9 MiB for a
+    # 12.0 MiB output
+    ds = byte_dataset(2000)
+    tracemalloc.start()
+    try:
+        out = make_variant(ds, kind, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs * out.images.nbytes + 4 * 2**20
+
+
+#: patch shapes: the glyphs', an odd one, single rows and columns, and the
+#: coarse grid's own, where every weight is exactly 0 or 1
+NOISE_SHAPES = [(28, 28), (9, 13), (1, 1), (1, 28), (28, 1), (5, 5)]
+
+
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
 def test_block_noise_patches_are_bit_identical_to_the_whole_array_oracle(n):
     for seed in (0, 1, 104729):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for h, w in ((28, 28), (9, 13)):
+        for h, w in NOISE_SHAPES:
             got = data._noise_patches(rng, n, h, w)
             assert got.tobytes() == oracles.noise_patches(ref, n, h, w).tobytes()
         assert rng.random() == ref.random()  # the same draws, no more
+
+
+@pytest.mark.parametrize("h, w", NOISE_SHAPES)
+def test_noise_weights_are_a_bilinear_partition_of_unity(h, w):
+    weights = data._noise_weights(h, w)
+    assert weights.shape == (data.NOISE_GRID ** 2, h * w)
+    assert (weights >= 0.0).all()
+    assert ((weights != 0.0).sum(axis=0) <= 4).all()
+    assert np.abs(weights.sum(axis=0) - 1.0).max() <= 1e-15
 
 
 def test_noise_patch_memory_is_the_output_plus_a_block():
