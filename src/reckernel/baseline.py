@@ -1,8 +1,8 @@
 """Multiclass logistic regression trained by full-batch gradient descent.
 
-The comparison baseline for the benchmark: a linear softmax model on the same
-preprocessed feature vectors, with a bias column.  Deterministic (zero
-initialization, fixed schedule), no external optimizer.
+A linear softmax model on preprocessed feature vectors, with a bias column.
+Deterministic (zero initialization, fixed schedule), no external optimizer.
+It remains only because perfbench/ and acceptance criterion 7 call it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ configuration, seeds, input fingerprints, timings, the process's peak RSS,
 the core count and numpy's BLAS build; rerunning a command with the same
 flags reproduces its model files byte for byte.  ``train`` adds how each
 class's solve ended, and ``bench`` its ``runs``: one record per fit (each
-variant's logistic baseline and kernel depths) with test and validation
+variant's kernel depths; depth 0 is the linear fit) with test and validation
 error, stage times and each class's solve.  ``bench.md`` and ``bench.csv``
 are rendered from the same records.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -36,7 +35,6 @@ import numpy as np
 
 from . import __version__
 from .activation import SeriesDivergenceError, builtin_activation, compute_F
-from .baseline import LogisticConfig, predict_logistic, train_logistic
 from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS,
                    make_variant, preprocess, read_idx, write_idx)
 from .glyphs import make_corpus
@@ -44,7 +42,7 @@ from .kernel import GramFormatError, NormBoundError, kernel_matrix, write_gram
 from .network import (ConstructionError, brute_force_margins,
                       build_hardness_net, net_to_json, random_halfspace_family,
                       required_budget, select_margin_param)
-from .solver import (NumericalError, OneVsAllPredictor, SolverDivergenceError,
+from .solver import (LOSS_KINDS, NumericalError, OneVsAllPredictor, SolverDivergenceError,
                      TrainConfig, check_labels, train_multiclass)
 
 EXIT_OK = 0
@@ -235,6 +233,12 @@ def _load_model(path) -> tuple:
     if alphas.shape != (len(classes), len(rows)) or not np.isfinite(alphas).all():
         raise IdxFormatError(f"{path}: alphas have shape {alphas.shape}, expected a finite "
                              f"{len(classes)} x {len(rows)} (classes x support rows) matrix")
+    if not rows:  # every row would score 0 and fall to class 0
+        raise IdxFormatError(f"{path}: the model has no support rows")
+    if not 0.0 <= budget < np.inf:  # negated so that NaN fails too
+        raise IdxFormatError(f"{path}: B {budget} is not a finite budget >= 0")
+    if loss not in LOSS_KINDS:
+        raise IdxFormatError(f"{path}: loss {loss!r} is not one of {', '.join(LOSS_KINDS)}")
     # the support set is part of the model: refuse it if it changed on disk
     for kind, file in (("images", images), ("labels", labels)):
         recorded = sup.get(f"{kind}_sha256")
@@ -363,8 +367,7 @@ def cmd_eval(args) -> int:
     guesses = pred.classify_many(fds.X)
     err = float((guesses != fds.labels).mean())
     confusion = np.zeros((n_classes, n_classes), dtype=int)
-    for true, got in zip(fds.labels, guesses):
-        confusion[int(true), int(got)] += 1
+    np.add.at(confusion, (fds.labels, guesses), 1)
     print(f"n={ds.n} error={100 * err:.2f}% accuracy={100 * (1 - err):.2f}%")
     if args.out:
         with open(args.out, "w") as f:
@@ -442,7 +445,6 @@ def cmd_bench(args) -> int:
     if unknown:
         raise ValueError(f"--variants {unknown[0]}: not a variant; supported: {', '.join(kinds)}")
     # every config is built, and so checked, before any split is read or fitted
-    baseline_cfg = LogisticConfig(iters=args.baseline_iters)
     cfgs = {k: TrainConfig(depth=k, budget=args.B, loss=args.loss, max_iters=args.max_iters)
             for k in args.ks}
     t0 = time.time()
@@ -462,7 +464,7 @@ def cmd_bench(args) -> int:
     q = builtin_activation("quadratic")
     # F(k, L) is defined from k = 1; depth 0, the plain inner product, is fitted all the same
     capacity = {k: compute_F(q, k, 1.0).value.to_float() for k in args.ks if k >= 1}
-    # one record per fit, in fit order: each variant's baseline, then its depths
+    # one record per fit, in fit order: each variant's depths
     records = []
     for variant in args.variants:
         parts = splits if variant == "basic" else [
@@ -473,26 +475,20 @@ def cmd_bench(args) -> int:
         del parts  # the variant's images; splits stays for the later variants
         keep = _usable_rows(ftr)
         X, y = ftr.X[keep], ftr.labels[keep]
-        for k in (None, *args.ks):
+        for k in args.ks:
             t1 = time.time()
-            if k is None:
-                method, solve = "logistic regression", []
-                W = train_logistic(X, y, dataclasses.replace(baseline_cfg,
-                                                             n_classes=int(y.max()) + 1))
-                classify = functools.partial(predict_logistic, W)
-            else:
-                method = f"recursive kernel (k={k})"
-                pred = train_multiclass(X, y, cfgs[k])
-                classify, solve = pred.classify_many, _solve_records(pred)
+            method = f"recursive kernel (k={k})"
+            pred = train_multiclass(X, y, cfgs[k])
             t2 = time.time()
-            test_err, val_err = (float((classify(f.X) != f.labels).mean()) for f in (fte, fva))
+            test_err, val_err = (float((pred.classify_many(f.X) != f.labels).mean())
+                                 for f in (fte, fva))
             t3 = time.time()
             # preprocess is the variant's, shared by all its fits
             records.append({"method": method, "variant": variant, "k": k,
                             "test_error": test_err, "val_error": val_err,
                             "seconds": {"preprocess": t_pre, "train": round(t2 - t1, 3),
                                         "classify": round(t3 - t2, 3)},
-                            "solve": solve})
+                            "solve": _solve_records(pred)})
             print(f"[{variant}] {method}: test {100 * test_err:.2f}% "
                   f"val {100 * val_err:.2f}% ({t3 - t1:.1f}s)")
 
@@ -500,8 +496,7 @@ def cmd_bench(args) -> int:
         return r["seconds"]["train"] + r["seconds"]["classify"]
 
     # one table row per method in fit order, its cells in variant order
-    fits = len(args.ks) + 1
-    table = [records[j::fits] for j in range(fits)]
+    table = [records[j::len(args.ks)] for j in range(len(args.ks))]
     os.makedirs(args.out_dir, exist_ok=True)
     md_path = os.path.join(args.out_dir, "bench.md")
     csv_path = os.path.join(args.out_dir, "bench.csv")
@@ -613,7 +608,6 @@ def build_parser() -> tuple:
     split_options(s)
     s.add_argument("--ks", type=_int_list, default=(1, 4))
     fit_options(s)
-    s.add_argument("--baseline-iters", type=int, default=LogisticConfig.iters)
     s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out-dir", default="results")

@@ -139,7 +139,12 @@ def read_idx(images_path, labels_path) -> ImageDataset:
 
 
 def write_idx(ds: ImageDataset, images_path, labels_path) -> None:
-    """Write the dataset as an IDX pair (pixels quantized to bytes)."""
+    """Write the dataset as an IDX pair (pixels quantized to bytes); a label
+    outside 0..255 is refused before either file is opened."""
+    unsigned = ds.labels.view(np.uint64)  # a negative label is above 255 too
+    if unsigned.max(initial=0) > 255:  # one pass over the labels
+        row = int(np.argmax(unsigned > 255))
+        raise ValueError(f"label {ds.labels[row]} at row {row} is not an IDX label byte 0..255")
     for path, magic, payload in ((images_path, IMAGES_MAGIC, np.round(ds.images * 255.0)),
                                  (labels_path, LABELS_MAGIC, ds.labels)):
         with open(path, "wb") as f:

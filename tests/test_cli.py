@@ -49,8 +49,7 @@ CLI_SURFACE = {
                       "--out-net"},
     "synth": {"--out-dir", "--train", "--val", "--test", "--seed"},
     "bench": {"--data-dir", "--variants", "--train", "--val", "--test", "--ks", "--B",
-              "--loss", "--max-iters", "--baseline-iters", "--preprocess", "--seed",
-              "--out-dir"},
+              "--loss", "--max-iters", "--preprocess", "--seed", "--out-dir"},
 }
 
 
@@ -166,6 +165,25 @@ def test_train_eval_toy_three_classes(tmp_path, capsys):
         c = int(line.split(",")[1])
         counts = [int(v) for v in line.split('"')[1].split(",")]
         assert sum(counts) == int((ds.labels == c).sum())
+
+
+def test_eval_confusion_rows_are_true_classes_and_columns_guesses(tmp_path, capsys):
+    # a model that fits its rows, scored against labels shifted by one class,
+    # so every guess is wrong and a transposed matrix would differ
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    model, report = tmp_path / "model.json", tmp_path / "eval.csv"
+    assert main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
+                 "--B", "10", "--max-iters", "300", "--out-model", str(model)]) == 0
+    ds = read_idx(ip, lp)
+    shifted = (ds.labels + 1) % 3
+    write_idx(ImageDataset(ds.images, shifted), tmp_path / "s-i.idx", tmp_path / "s-l.idx")
+    assert main(["eval", "--model", str(model), "--images", str(tmp_path / "s-i.idx"),
+                 "--labels", str(tmp_path / "s-l.idx"), "--out", str(report)]) == 0
+    expected = np.zeros((3, 3), dtype=int)
+    for true, got in zip(shifted, ds.labels):  # the model guesses each row's own class
+        expected[true, got] += 1
+    rows = [l for l in report.read_text().splitlines() if l.startswith("confusion_row")]
+    assert rows == [f'confusion_row,{c},"{",".join(map(str, expected[c]))}"' for c in range(3)]
 
 
 def test_train_byte_identical_reruns(tmp_path, capsys):
@@ -396,6 +414,11 @@ def test_eval_refuses_images_of_another_size_with_exit_3(tmp_path, capsys):
                                        "support images are 28x28\n")
 
 
+def _drop_support_rows(model):
+    model["support"]["rows"] = []
+    model["alphas"] = [[] for _ in model["alphas"]]
+
+
 # each case is the file's bytes, or an edit of a trained model's JSON payload
 MALFORMED_MODELS = {
     "not_json": b"model {",
@@ -407,6 +430,11 @@ MALFORMED_MODELS = {
     "classes_cut": lambda m: m.update(classes=m["classes"][:4]),
     "negative_depth": lambda m: m.update(depth=-1),
     "unknown_step": lambda m: m["support"].update(preprocessing=["blur"]),
+    # these four used to be scored: no support rows put every row in class 0
+    "no_support_rows": _drop_support_rows,
+    "nan_budget": lambda m: m.update(B="nan"),
+    "negative_budget": lambda m: m.update(B=-3.0),
+    "unknown_loss": lambda m: m.update(loss="bogus"),
 }
 
 
@@ -425,7 +453,8 @@ def test_eval_names_a_malformed_model_with_exit_3(case, tmp_path, capsys):
         model.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["eval", "--model", str(model), "--images", ip, "--labels", lp]) == 3
-    assert capsys.readouterr().err.startswith(f"data error: {model}: ")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"data error: {model}: ")
 
 
 def test_train_refuses_deskew_after_center_with_exit_2(tmp_path, capsys):
@@ -595,7 +624,7 @@ def test_variants_manifest_records_time_and_memory(tmp_path):
     ["hardness-demo", "--d", "6", "--T", "2", "--out-net", "{d}/net.json"],
     ["bench", "--data-dir", "{d}", "--train", "60", "--val", "10", "--test", "30",
      "--ks", "1", "--variants", "basic,rotation", "--max-iters", "30",
-     "--baseline-iters", "5", "--out-dir", "{d}/results"]],
+     "--out-dir", "{d}/results"]],
     ids=["synth", "variants", "hardness-demo", "bench"])
 def test_a_negative_seed_is_refused_before_any_work(command, tmp_path, capsys):
     # numpy used to refuse it mid-command, in a message that named no flag;
@@ -619,7 +648,8 @@ def test_synth_and_bench_smoke(tmp_path, capsys):
                  "--variants", "basic", "--out-dir", str(results)]) == 0
     md = (results / "bench.md").read_text()
     assert "desk" in md.lower()
-    assert "logistic regression" in md
+    # the defaults fit depths 1 and 4 on the one solver, and no linear row
+    assert "| recursive kernel (k=4) |" in md and "logistic" not in md
     csv = (results / "bench.csv").read_text()
     assert "recursive kernel (k=1)" in csv
 
@@ -634,7 +664,7 @@ def bench_results(tmp_path_factory):
                  "--val", "10", "--test", "30"]) == 0
     assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
                  "--test", "30", "--ks", "1,2", "--variants", "basic,rotation",
-                 "--max-iters", "30", "--baseline-iters", "5", "--out-dir", str(results)]) == 0
+                 "--max-iters", "30", "--out-dir", str(results)]) == 0
     return results
 
 
@@ -644,11 +674,12 @@ def test_bench_manifest_records_what_each_fit_used(bench_results):
     assert manifest["peak_rss_mb"] > 0
     assert manifest["nproc"] >= 1
     assert set(manifest["blas"]) == {"name", "version"}
+    # every fit is a kernel fit, in fit order, with one solve per class
     runs = manifest["runs"]
-    kernel = [r for r in runs if r["method"] != "logistic regression"]
-    assert [(r["variant"], r["k"]) for r in kernel] == [
-        ("basic", 1), ("basic", 2), ("rotation", 1), ("rotation", 2)]
-    for r in kernel:
+    assert [(r["method"], r["variant"], r["k"]) for r in runs] == [
+        (f"recursive kernel (k={k})", variant, k)
+        for variant in ("basic", "rotation") for k in (1, 2)]
+    for r in runs:
         assert set(r["seconds"]) == {"preprocess", "train", "classify"}
         assert all(v >= 0 for v in r["seconds"].values())
         assert [s["class"] for s in r["solve"]] == list(range(10))
@@ -656,15 +687,9 @@ def test_bench_manifest_records_what_each_fit_used(bench_results):
             assert set(s) == {"class", "iterations", "stop_reason", "best_objective",
                               "constraint_use"}
             assert 1 <= s["iterations"] <= 30
-    # each variant's baseline fit comes first; it shares the variant's preprocess time
-    baseline = [r for r in runs if r["method"] == "logistic regression"]
-    assert runs == [baseline[0], *kernel[:2], baseline[1], *kernel[2:]]
-    for r, variant in zip(baseline, ("basic", "rotation")):
-        assert (r["variant"], r["k"], r["solve"]) == (variant, None, [])
-        assert set(r["seconds"]) == {"preprocess", "train", "classify"}
-        assert all(v >= 0 for v in r["seconds"].values())
-        assert all(r["seconds"]["preprocess"] == k["seconds"]["preprocess"]
-                   for k in kernel if k["variant"] == variant)
+    # a variant's fits share its preprocess time
+    for variant in ("basic", "rotation"):
+        assert len({r["seconds"]["preprocess"] for r in runs if r["variant"] == variant}) == 1
 
 
 def test_every_manifest_carries_the_same_top_level_keys(bench_results, tmp_path):
@@ -692,18 +717,12 @@ def test_bench_table_csv_and_manifest_agree(bench_results):
     runs = json.loads((results / "bench.manifest.json").read_text())["runs"]
     for r in runs:
         assert 0 <= r["test_error"] <= 1 and 0 <= r["val_error"] <= 1
-    # every variant has exactly one baseline record
-    baseline = [r for r in runs if r["method"] == "logistic regression"]
-    assert sorted(r["variant"] for r in baseline) == ["basic", "rotation"]
-    for r in baseline:
-        assert r["k"] is None and r["solve"] == []
-        assert set(r["seconds"]) == {"preprocess", "train", "classify"}
     # each table cell is 100 * test_error of its record
     lines = (results / "bench.md").read_text().splitlines()
     header = lines.index("| method | basic | rotation | runtime (s) |")
     table = [line.strip("|").split(" | ") for line in lines[header + 2:]]
     assert [row[0].strip() for row in table] == [
-        "logistic regression", "recursive kernel (k=1)", "recursive kernel (k=2)"]
+        "recursive kernel (k=1)", "recursive kernel (k=2)"]
     for method, *cells, _ in table:
         mine = [r for r in runs if r["method"] == method.strip()]
         assert [r["variant"] for r in mine] == ["basic", "rotation"]
@@ -766,11 +785,8 @@ def test_bench_refuses_a_negative_depth_before_any_fit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
                  "--test", "30", "--ks=-1", "--variants", "basic,rotation",
-                 "--max-iters", "30", "--baseline-iters", "5",
-                 "--out-dir", str(results)]) == 2
-    out, err = capsys.readouterr()
-    assert "logistic regression" not in out
-    assert err == "error: --ks -1: depth must be nonnegative\n"
+                 "--max-iters", "30", "--out-dir", str(results)]) == 2
+    assert capsys.readouterr() == ("", "error: --ks -1: depth must be nonnegative\n")
     assert not results.exists()
 
 
@@ -783,8 +799,7 @@ def test_bench_refuses_an_unknown_variant_before_any_fit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
                  "--test", "30", "--ks", "1", "--variants", "basic,rotaton",
-                 "--max-iters", "30", "--baseline-iters", "5",
-                 "--out-dir", str(results)]) == 2
+                 "--max-iters", "30", "--out-dir", str(results)]) == 2
     assert capsys.readouterr() == ("", "error: --variants rotaton: not a variant; supported: "
                                        "basic, rotation, background, background_rotation\n")
     assert not (results / "bench.md").exists()
@@ -803,19 +818,17 @@ def test_bench_takes_its_data_dir_from_the_flag_alone(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--B", "-1"), ("--B", "nan"), ("--loss", "bogus"), ("--max-iters", "0"),
-    ("--baseline-iters", "0"), ("--baseline-iters", "-5")])
+    ("--B", "-1"), ("--B", "nan"), ("--loss", "bogus"), ("--max-iters", "0")])
 def test_bench_refuses_a_bad_config_before_any_fit(flag, value, tmp_path, capsys):
     # these used to be refused only at the first kernel fit, after the logistic
-    # baseline had run and printed; a baseline of no steps scored every row as 0
+    # baseline had run and printed
     data, results = tmp_path / "data", tmp_path / "results"
     assert main(["synth", "--out-dir", str(data), "--train", "60",
                  "--val", "10", "--test", "30"]) == 0
     capsys.readouterr()
     assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
                  "--test", "30", "--ks", "1", "--variants", "basic,rotation",
-                 "--max-iters", "30", "--baseline-iters", "5",
-                 "--out-dir", str(results), f"{flag}={value}"]) == 2
+                 "--max-iters", "30", "--out-dir", str(results), f"{flag}={value}"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert not results.exists()
@@ -828,11 +841,10 @@ def test_bench_fits_depth_zero(tmp_path, capsys):
                  "--val", "10", "--test", "30"]) == 0
     assert main(["bench", "--data-dir", str(data), "--train", "60", "--val", "10",
                  "--test", "30", "--ks", "0,1", "--variants", "basic", "--max-iters", "30",
-                 "--baseline-iters", "5", "--out-dir", str(results)]) == 0
+                 "--out-dir", str(results)]) == 0
     runs = json.loads((results / "bench.manifest.json").read_text())["runs"]
     assert [(r["method"], r["k"], len(r["solve"])) for r in runs] == [
-        ("logistic regression", None, 0), ("recursive kernel (k=0)", 0, 10),
-        ("recursive kernel (k=1)", 1, 10)]
+        ("recursive kernel (k=0)", 0, 10), ("recursive kernel (k=1)", 1, 10)]
     md = (results / "bench.md").read_text()
     assert "capacity reference (quadratic activation, L = 1): F(1, 1) = 2.828; trained" in md
     assert "| recursive kernel (k=0) |" in md

@@ -80,6 +80,17 @@ def test_idx_pixel_scaling(tmp_path):
     assert back.images[0, 1, 1] == 0.0
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0, 256, -1], "label 256 at row 1 "), ([3, 0, -1], "label -1 at row 2 ")],
+    ids=["above_255", "negative"])
+def test_idx_refuses_a_label_that_is_not_a_byte(labels, message, tmp_path):
+    # such labels used to wrap: [0, 256, -1] read back as [0, 0, 255]
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    with pytest.raises(ValueError, match=message):
+        write_idx(ImageDataset(np.zeros((3, 2, 2)), np.array(labels)), ip, lp)
+    assert not ip.exists() and not lp.exists()
+
+
 def test_idx_bad_magic_names_offset(tmp_path):
     ds = byte_dataset(2)
     write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx")

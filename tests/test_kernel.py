@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +271,36 @@ def test_gram_export_rejects_corruption(tmp_path):
     (tmp_path / "short.bin").write_bytes(blob[:-8])
     with pytest.raises(GramFormatError, match="expected"):
         read_gram(tmp_path / "short.bin")
+
+
+# ---------------------------------------------------------------------------
+# names that only perfbench/ keeps alive
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "reckernel"
+
+
+def _imports_and_names(path):
+    """The modules a source file imports (``from . import m`` as ``.m``), and
+    every identifier it defines, reads, imports or looks up as an attribute."""
+    modules, names = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            modules.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        names.update(getattr(node, field) for field in ("id", "attr", "name")
+                     if isinstance(getattr(node, field, None), str))
+    return modules, names
+
+
+def test_perfbench_only_names_have_no_caller_in_the_package():
+    # deleting them later is then a change to kernel.py, baseline.py and the tests alone
+    files = sorted(SRC.glob("*.py"))
+    assert {p.name for p in files} >= {"cli.py", "kernel.py", "baseline.py"}
+    for path in files:
+        modules, names = _imports_and_names(path)
+        assert not [m for m in modules if m.split(".")[-1] == "baseline"], path.name
+        found = names & {"gram", "KernelStack", "GramMatrix"}
+        assert path.name == "kernel.py" or not found, path.name
