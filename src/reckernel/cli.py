@@ -123,9 +123,12 @@ def _write_manifest(manifest: dict, out_path) -> None:
         f.write("\n")
 
 
-def _presets(args: argparse.Namespace) -> dict:
+def _presets(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Option defaults: what the ``--from-manifest`` run recorded (keys this
-    command no longer has are skipped), or none without that flag."""
+    command no longer has are skipped), or none without that flag.  argparse
+    converts only string defaults, so each recorded value goes through its
+    option's ``type=`` (``str`` if none) here, as if typed; one it refuses is
+    a format error."""
     manifest = getattr(args, "from_manifest", None)
     if not manifest:
         return {}
@@ -138,9 +141,20 @@ def _presets(args: argparse.Namespace) -> dict:
     if not isinstance(stored, dict):
         raise ManifestFormatError(f"{manifest}: no \"config\" object to replay")
     # the output path stays with the current invocation
-    options = set(vars(args)) - {"command", "func", "from_manifest", "out_model"}
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in stored.items()
-            if k in options}
+    options = {a.dest: a for a in parser._actions
+               if a.dest not in ("help", "from_manifest", "out_model")}
+    presets = {k: v for k, v in stored.items() if k in options}
+    for k, v in presets.items():
+        option = options[k]
+        if v is not None:
+            # a list only where the option takes one
+            listed = isinstance(v, list) and isinstance(option.default, tuple)
+            try:
+                presets[k] = (option.type or str)(",".join(map(str, v)) if listed else str(v))
+            except ValueError:
+                raise ManifestFormatError(f"{manifest}: config {k!r} is {v!r}, not a value "
+                                          f"of {option.option_strings[0]}") from None
+    return presets
 
 
 def _steps_list(text: str) -> tuple:
@@ -621,7 +635,7 @@ def main(argv=None) -> int:
     # specific families first: several of these are ValueError subclasses
     try:
         # presets become defaults, so a flag on the command line still wins
-        subparsers[args.command].set_defaults(**_presets(args))
+        subparsers[args.command].set_defaults(**_presets(args, subparsers[args.command]))
         args = parser.parse_args(argv)
         # numpy would refuse a negative seed only once the command's work had begun
         if getattr(args, "seed", 0) < 0:

@@ -11,6 +11,7 @@ Each level corresponds to re-embedding through the product feature map whose
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ def _check_rows(X: np.ndarray, label: str) -> None:
 def _operands(depth: int, A, B, label: str) -> tuple:
     """A with its rows checked, and B unless it is None, as 2-d float arrays
     of equal width."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if not isinstance(depth, numbers.Integral) or depth < 0:  # numpy integers pass
+        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     A = np.ascontiguousarray(np.atleast_2d(A), dtype=float)
     _check_rows(A, label)
     if B is not None:

@@ -13,17 +13,20 @@ one-vs-all as one batched solve over a shared Gram matrix; binary is its
 one-class case.  Training is deterministic for a fixed config; returned
 predictors are immutable and safe to share across threads.
 
-Each step's one product with the n x n Gram, ``P = A @ G``, is reused while
-the subgradient repeats (``P' = P - eta (S @ G) / n``, ``S @ G`` computed
-once), and recomputed after a change or every ``REFRESH`` such steps: at
-B <= 1 the hinge keeps every pair active, so a solve takes about
-``max_iters / REFRESH`` products.  Results equal the product-per-step rule
-to rounding, not bit for bit.
+The predictions ``P = A @ G`` are a running product: ``P`` steps by
+``Q = S_Q @ G`` as ``A`` steps by the subgradient ``S``
+(``P' = P - eta Q / n``), where ``Q`` is recomputed only when ``S`` differs
+from the ``S_Q`` it was taken with, and every ``REFRESH``-th step makes ``P``
+exact as ``A @ G`` instead.  So a step takes at most one product with the
+n x n Gram: at B <= 1 the hinge keeps every pair active and ``S`` never
+changes, so a solve takes about ``max_iters / REFRESH`` products.  Results
+equal the product-per-step rule to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .kernel import NORM_TOL, cross_kernel_blocks, kernel_matrix, row_norms
 
-#: running steps of ``P`` between exact products ``A @ G``, against drift
+#: every REFRESH-th step makes ``P`` exact, ``A @ G``, against the drift of its running steps
 REFRESH = 50
 
 
@@ -106,15 +109,13 @@ class TrainConfig:
     patience: int = 100
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
+        for name, low in (("depth", 0), ("max_iters", 1), ("patience", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:  # numpy integers pass
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         # negated so that NaN fails too
         if not 0.0 <= self.budget < math.inf:
             raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
         if not self.tolerance > 0:  # NaN fails too
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         make_loss(self.loss, self.budget)  # refuses an unknown loss
@@ -180,19 +181,17 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
     projected incumbent and report.  ``callback(c, t, objective, best)`` runs
     for every live row at t before any row at t + 1.
 
-    ``P = A @ G`` is the running product of the module docstring: it steps by
-    the cached ``Q = S @ G`` while every live row's subgradient repeats."""
+    ``P = A @ G`` is the running product of the module docstring, and
+    ``Q == S_Q @ G`` for the subgradient ``S_Q`` last multiplied.  ``A``,
+    ``P``, ``Q`` and ``S_Q`` all start at zero, so both hold exactly at t = 1."""
     (C, n), B = Y.shape, cfg.budget
     loss = make_loss(cfg.loss, B)
     eta0 = cfg.eta0 if cfg.eta0 is not None else B / loss.rho
     live, A, best = np.arange(C), np.zeros((C, n)), np.zeros((C, n))
     best_obj, window_best = np.full(C, math.inf), np.full(C, math.inf)
     iterations, reasons = np.full(C, cfg.max_iters), np.full(C, "max_iters", dtype=object)
-    # A = 0, so P = A @ G = 0; no live row's S is zero, so step 1 is a change
-    P, Q, S_prev, run = np.zeros((C, n)), None, np.zeros((C, n)), 0
+    P, Q, S_Q = np.zeros((C, n)), np.zeros((C, n)), np.zeros((C, n))
     for t in range(1, cfg.max_iters + 1):
-        if P is None:
-            P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
         _scale_onto_ball(A, P, B)
         obj = np.mean(loss.value(P, Y), axis=1)
         if not np.all(np.isfinite(obj)):
@@ -216,19 +215,17 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
         if stop.any():
             iterations[live[stop]] = t
             reasons[live[stop]] = np.where(stalled[stop], "window", "zero_subgradient")
-            live, A, Y, S, P, S_prev = (v[~stop] for v in (live, A, Y, S, P, S_prev))
-            Q = None if Q is None else Q[~stop]
-            if not live.size:
-                break
+            live, A, Y, S, P, Q, S_Q = (v[~stop] for v in (live, A, Y, S, P, Q, S_Q))
+        if not live.size or t == cfg.max_iters:
+            break  # no step, so no product, after the last
         eta = eta0 / math.sqrt(t)
         A = A - eta * (S / n)
-        # while S repeats, P advances by the cached Q = S @ G, as A does by S
-        if not np.array_equal(S, S_prev):
-            Q = None
-        elif Q is None:
-            Q = S @ G
-        P, run = (P - eta * (Q / n), run + 1) if Q is not None and run < REFRESH else (None, 0)
-        S_prev = S
+        if t % REFRESH == 0:
+            P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
+        else:
+            if not np.array_equal(S, S_Q):
+                S_Q, Q = S, S @ G
+            P = P - eta * (Q / n)
     q = _scale_onto_ball(best, best @ G, B)
     use = q / (B * B) if B > 0 else np.zeros(C)  # at B = 0 the ball is the zero function
     return best, tuple(SolveReport(int(k), str(r), float(o), min(float(u), 1.0))

@@ -907,6 +907,28 @@ def _older_manifest(manifest):
     Path(manifest).write_text(json.dumps(stored))
 
 
+@pytest.mark.parametrize("key, value", [("k", 1.5), ("k", [4]), ("max_iters", 2.5),
+                                        ("limit", 2.5)],
+                         ids=["k-1.5", "k-list", "max_iters-2.5", "limit-2.5"])
+def test_replaying_a_value_its_option_would_refuse_exits_3(key, value, tmp_path,
+                                                            monkeypatch, capsys):
+    # argparse converts only string defaults: these used to train a depth-1.5
+    # model that eval refuses, or fail with a traceback from range or subset;
+    # a list replays only into an option that takes one
+    _, _, manifest = _train_then_manifest(tmp_path)
+    stored = json.loads(Path(manifest).read_text())
+    stored["config"][key] = value
+    Path(manifest).write_text(json.dumps(stored))
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "read_idx", lambda *a: pytest.fail("read data"))
+    capsys.readouterr()
+    assert main(["train", "--from-manifest", manifest,
+                 "--out-model", str(tmp_path / "m2.json")]) == 3
+    assert capsys.readouterr().err == (f"data error: {manifest}: config {key!r} is {value!r}, "
+                                       f"not a value of --{key.replace('_', '-')}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_replaying_a_data_manifest_needs_images_and_labels(tmp_path, monkeypatch, capsys):
     _, _, manifest = _train_then_manifest(tmp_path)
     _older_manifest(manifest)

@@ -57,6 +57,10 @@ def test_norm_violation_names_the_vector():
         feature_map(TruncatedFeatureMap(2, 1), 1.5 * E1)
     with pytest.raises(ValueError):
         KernelStack(-1)
+    # a fractional depth gave 0.6 for orthogonal rows, outside the family
+    with pytest.raises(ValueError, match="depth must be a nonnegative integer, got 1.5"):
+        kernel_matrix(1.5, E1, E2)
+    assert kernel_matrix(np.int64(1), E1, E2)[0, 0] == 0.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -175,6 +175,8 @@ def test_train_rejects_bad_inputs():
         TrainConfig(depth=1, budget=1.0, max_iters=0)
     with pytest.raises(ValueError):
         TrainConfig(depth=1, budget=1.0, tolerance=0.0)
+    # numpy integers are integers
+    TrainConfig(depth=np.int64(2), budget=1.0, max_iters=np.int32(5), patience=np.uint8(3))
 
 
 def _with_row_norm(X, i, norm):
@@ -197,7 +199,8 @@ def test_train_refuses_every_row_the_kernel_would(fit, y):
         assert fit(_with_row_norm(X, 3, norm), y, cfg).alphas.shape[1] == 6
 
 
-@pytest.mark.parametrize("field, value", [("patience", 0), ("patience", -3),
+@pytest.mark.parametrize("field, value", [("patience", 0), ("patience", -3), ("patience", 2.5),
+                                          ("depth", 1.5), ("max_iters", 2.5),
                                           ("budget", np.nan), ("budget", np.inf),
                                           ("eta0", 0.0), ("eta0", -1.0), ("eta0", np.nan),
                                           ("tolerance", np.nan)])
@@ -206,7 +209,9 @@ def test_train_config_rejects_bad_patience_and_budget(field, value):
     # absolute value, and a NaN budget was accepted; a negative eta0 took
     # ascent steps and a NaN one failed mid-solve (+inf, the divergence
     # hook of test_divergence_names_the_class, stays accepted); a NaN
-    # tolerance switched the window stop off
+    # tolerance switched the window stop off; a fractional depth trained on a
+    # kernel outside the family, a fractional patience checked its window at
+    # multiples of it, and a fractional max_iters failed in range
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{"depth": 1, "budget": 1.0, field: value})
 
@@ -398,25 +403,37 @@ def test_a_cached_product_outlives_a_class_stopping():
 
 def test_running_objectives_match_the_oracle_at_every_step():
     # the callback objective is computed from the running P, so this bounds
-    # its drift from A @ G at every step, between refreshes too
+    # its drift from A @ G at every step, between refreshes too: at B = 1 the
+    # subgradient repeats, and at B = 10 P also runs across its changes
     G, Y = _random_problem()
-    cfg = _config(budget=1.0)
-    got, want = [], []
-    _minimize_on_gram(G, Y, cfg, lambda c, t, obj, best: got.append((c, t, obj)))
-    minimize_on_gram(G, Y, cfg, lambda c, t, obj, best: want.append((c, t, obj)))
-    assert [k[:2] for k in got] == [k[:2] for k in want] and len(got) == 3 * 400
-    np.testing.assert_allclose([k[2] for k in got], [k[2] for k in want], rtol=1e-12, atol=0)
+    for B in (1.0, 10.0):
+        cfg = _config(budget=B)
+        got, want = [], []
+        _minimize_on_gram(G, Y, cfg, lambda c, t, obj, best: got.append((c, t, obj)))
+        minimize_on_gram(G, Y, cfg, lambda c, t, obj, best: want.append((c, t, obj)))
+        assert [k[:2] for k in got] == [k[:2] for k in want] and len(got) == 3 * 400
+        np.testing.assert_allclose([k[2] for k in got], [k[2] for k in want],
+                                   rtol=1e-12, atol=0, err_msg=f"B = {B}")
 
 
 def test_binding_hinge_solve_reuses_the_gram_product():
     # at B <= 1 every hinge pair is active, so the subgradient is -Y at every
-    # step; one product per step would make 301
+    # step: Q = S @ G once after step 1, P = A @ G after every REFRESH-th
+    # step but the last, and best @ G once the solve ends
+    T = 300
+    assert REFRESH < T  # the solve refreshes, so the count pins the refresh
     G, Y = _random_problem()
+    taken = {}  # step -> products before its callbacks
+
+    def record(c, t, obj, best):
+        taken.setdefault(t, CountingGram.products)
+
     CountingGram.products = 0
     _, reports = _minimize_on_gram(G.view(CountingGram), Y,
-                                   _config(budget=1.0, max_iters=300))
-    assert [r.iterations for r in reports] == [300] * 3
-    assert CountingGram.products <= math.ceil(300 / REFRESH) + 3
+                                   _config(budget=1.0, max_iters=T), record)
+    assert [r.iterations for r in reports] == [T] * 3
+    after = [taken[t + 1] - taken[t] for t in range(1, T)] + [CountingGram.products - taken[T]]
+    assert after == [int(t == 1 or t % REFRESH == 0 or t == T) for t in range(1, T + 1)]
 
 
 # ---------------------------------------------------------------------------
