@@ -42,8 +42,8 @@ from .kernel import GramFormatError, NormBoundError, kernel_matrix, write_gram
 from .network import (ConstructionError, brute_force_margins,
                       build_hardness_net, net_to_json, random_halfspace_family,
                       required_budget, select_margin_param)
-from .solver import (LOSS_KINDS, NumericalError, OneVsAllPredictor, SolverDivergenceError,
-                     TrainConfig, check_labels, train_multiclass)
+from .solver import (LOSS_KINDS, NumericalError, OneVsAllPredictor, TrainConfig,
+                     check_labels, train_multiclass)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,8 +57,8 @@ class ManifestFormatError(ValueError):
 
 USAGE_ERRORS = (ValueError,)
 DATA_ERRORS = (IdxFormatError, GramFormatError, ManifestFormatError, FileNotFoundError)
-NUMERIC_ERRORS = (SeriesDivergenceError, SolverDivergenceError, NumericalError,
-                  ConstructionError, NormBoundError, OverflowError)
+NUMERIC_ERRORS = (SeriesDivergenceError, NumericalError, ConstructionError, NormBoundError,
+                  OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +318,7 @@ def cmd_train(args) -> int:
     t0 = time.time()
     images, labels = _resolve_idx_pair(args)
     cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss,
-                      max_iters=args.max_iters, eta0=args.eta0,
-                      tolerance=args.tol)
+                      max_iters=args.max_iters, tolerance=args.tol)
     fds = _load_features(images, labels, tuple(args.preprocess), args.limit)
     hashes = _sha256s([images, labels])
     rows = _usable_rows(fds)
@@ -582,7 +581,6 @@ def build_parser() -> tuple:
     s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
     s.add_argument("--k", type=int, default=1)
     fit_options(s)
-    s.add_argument("--eta0", type=float, default=None)
     s.add_argument("--tol", type=float, default=TrainConfig.tolerance)
     s.add_argument("--limit", type=int, default=None)
     s.add_argument("--out-model", required=True)

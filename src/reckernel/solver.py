@@ -34,18 +34,13 @@ import numpy as np
 
 from .kernel import NORM_TOL, cross_kernel_blocks, kernel_matrix, row_norms
 
+#: the largest budget whose (2B)^2 is finite.  From a point on the ball a step
+#: adds RKHS norm at most (B / rho) * rho = B on unit rows, so the quadratic
+#: form before projection is at most (2B)^2.
+MAX_BUDGET = math.sqrt(np.finfo(float).max) / 2
+
 #: every REFRESH-th step makes ``P`` exact, ``A @ G``, against the drift of its running steps
 REFRESH = 50
-
-
-class SolverDivergenceError(ArithmeticError):
-    """Objective became non-finite during training."""
-
-    def __init__(self, message, iteration, objective, alpha_norm):
-        super().__init__(message)
-        self.iteration = iteration
-        self.objective = objective
-        self.alpha_norm = alpha_norm
 
 
 class DegenerateClassError(ValueError):
@@ -101,8 +96,6 @@ class TrainConfig:
     budget: float
     loss: str = "hinge"
     max_iters: int = 5000
-    #: initial step size, > 0 (+inf included); defaults to budget / rho
-    eta0: Optional[float] = None
     #: stop when the best objective improves by less than this (relative)
     #: over ``patience`` iterations
     tolerance: float = 1e-6
@@ -116,12 +109,12 @@ class TrainConfig:
         # negated so that NaN fails too
         if not 0.0 <= self.budget < math.inf:
             raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
+        if self.budget > MAX_BUDGET:
+            raise OverflowError(f"budget must be at most {MAX_BUDGET!r}, above which "
+                                f"(2 * budget)^2 overflows; got {self.budget}")
         if not self.tolerance > 0:  # NaN fails too
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         make_loss(self.loss, self.budget)  # refuses an unknown loss
-        # negated so that NaN fails too
-        if self.eta0 is not None and not self.eta0 > 0.0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,7 @@ class SolveReport:
     the tolerance over a patience window), ``max_iters``
     or ``zero_subgradient`` (the incumbent cannot improve).
     ``constraint_use`` is ``alpha' G alpha / B^2`` of the returned
-    coefficients, 0 at B = 0.
+    coefficients, 0 where ``B * B`` is 0.
     """
 
     iterations: int
@@ -186,7 +179,6 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
     ``P``, ``Q`` and ``S_Q`` all start at zero, so both hold exactly at t = 1."""
     (C, n), B = Y.shape, cfg.budget
     loss = make_loss(cfg.loss, B)
-    eta0 = cfg.eta0 if cfg.eta0 is not None else B / loss.rho
     live, A, best = np.arange(C), np.zeros((C, n)), np.zeros((C, n))
     best_obj, window_best = np.full(C, math.inf), np.full(C, math.inf)
     iterations, reasons = np.full(C, cfg.max_iters), np.full(C, "max_iters", dtype=object)
@@ -194,11 +186,6 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
     for t in range(1, cfg.max_iters + 1):
         _scale_onto_ball(A, P, B)
         obj = np.mean(loss.value(P, Y), axis=1)
-        if not np.all(np.isfinite(obj)):
-            i = int(np.argmin(np.isfinite(obj)))
-            norm = float(np.linalg.norm(A[i]))
-            raise SolverDivergenceError(f"class {live[i]}: objective became {obj[i]} at "
-                                        f"iteration {t} (|alpha| = {norm:.3g})", t, obj[i], norm)
         better = obj < best_obj[live]
         best_obj[live[better]], best[live[better]] = obj[better], A[better]
         if callback is not None:
@@ -218,7 +205,7 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
             live, A, Y, S, P, Q, S_Q = (v[~stop] for v in (live, A, Y, S, P, Q, S_Q))
         if not live.size or t == cfg.max_iters:
             break  # no step, so no product, after the last
-        eta = eta0 / math.sqrt(t)
+        eta = B / loss.rho / math.sqrt(t)
         A = A - eta * (S / n)
         if t % REFRESH == 0:
             P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
@@ -227,7 +214,9 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
                 S_Q, Q = S, S @ G
             P = P - eta * (Q / n)
     q = _scale_onto_ball(best, best @ G, B)
-    use = q / (B * B) if B > 0 else np.zeros(C)  # at B = 0 the ball is the zero function
+    # 0 where B * B is 0, at B = 0 and where it underflows (B below about
+    # 1.6e-162): there no step moves a loss value, so the incumbent is zero
+    use = q / (B * B) if B * B > 0 else np.zeros(C)
     return best, tuple(SolveReport(int(k), str(r), float(o), min(float(u), 1.0))
                        for k, r, o, u in zip(iterations, reasons, best_obj, use))
 

@@ -42,7 +42,7 @@ CLI_SURFACE = {
     "bound": {"--activation", "--k", "--L"},
     "gram": {"--images", "--labels", "--preprocess", "--k", "--limit", "--out"},
     "train": {"--images", "--labels", "--preprocess", "--k", "--B", "--loss", "--max-iters",
-              "--eta0", "--tol", "--limit", "--out-model", "--from-manifest"},
+              "--tol", "--limit", "--out-model", "--from-manifest"},
     "eval": {"--model", "--images", "--labels", "--out"},
     "variants": {"--images", "--labels", "--kind", "--seed", "--out-images", "--out-labels"},
     "hardness-demo": {"--d", "--T", "--budget", "--activation", "--margin-param", "--seed",
@@ -246,12 +246,36 @@ def test_train_squared_loss_overflow_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+def test_train_refuses_an_overflowing_budget_before_reading_data(loss, tmp_path, monkeypatch,
+                                                                 capsys):
+    # these used to train at 1e200 with a NaN constraint use, and to fail
+    # mid-solve at 1.7e308
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    monkeypatch.setattr(cli, "read_idx", lambda *a: pytest.fail("read data"))
+    for B in ("1e200", "1.7e308"):
+        rc = main(["train", "--images", ip, "--labels", lp, "--loss", loss, "--B", B,
+                   "--out-model", str(tmp_path / "m.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: budget must be at most ")
+        assert err.endswith(f"; got {float(B)}\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_bench_refuses_an_overflowing_budget_before_reading_data(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "read_idx", lambda *a: pytest.fail("read data"))
+    assert main(["bench", "--data-dir", str(tmp_path), "--B", "1e200",
+                 "--out-dir", str(tmp_path / "results")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: budget must be at most ")
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("flag, field, value", [
-    ("--eta0", "eta0", "-1"), ("--eta0", "eta0", "0"), ("--eta0", "eta0", "nan"),
     # a NaN tolerance used to switch the window stop off without a word
-    ("--tol", "tolerance", "nan")], ids=["-1", "0", "nan", "tol-nan"])
+    ("--tol", "tolerance", "nan")], ids=["tol-nan"])
 def test_train_refuses_a_step_size_that_is_not_positive(flag, field, value, tmp_path, capsys):
-    # -1 used to take ascent steps and exit 0, nan to exit 4 mid-solve
     ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
     rc = main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
                f"{flag}={value}", "--max-iters", "10", "--out-model", str(tmp_path / "m.json")])
@@ -899,11 +923,11 @@ def test_explicit_flag_beats_from_manifest(tmp_path, capsys):
 
 
 def _older_manifest(manifest):
-    """``manifest`` as the CLI recorded it while it still had ``--data`` and
-    ``train --classes``."""
+    """``manifest`` as the CLI recorded it while it still had ``--data``,
+    ``train --classes`` and an unset ``train --eta0``."""
     stored = json.loads(Path(manifest).read_text())
     stored["config"].update(data=str(Path(manifest).parent / "toy"), classes=3,
-                            images=None, labels=None)
+                            images=None, labels=None, eta0=None)
     Path(manifest).write_text(json.dumps(stored))
 
 
@@ -949,4 +973,4 @@ def test_replaying_a_data_manifest_with_images_and_labels_writes_the_same_model(
                  "--out-model", str(replay)]) == 0
     assert replay.read_bytes() == (tmp_path / "m1.json").read_bytes()
     recorded = json.loads((tmp_path / "m2.json.manifest.json").read_text())["config"]
-    assert "data" not in recorded and "classes" not in recorded
+    assert not {"data", "classes", "eta0"} & recorded.keys()
