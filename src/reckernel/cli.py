@@ -12,8 +12,8 @@ are rendered from the same records.
 
 ``train --from-manifest`` presets every option an earlier run recorded except
 ``--out-model``.  Precedence: explicit flag > ``--from-manifest`` > built-in
-default.  ``gram``, ``train``, ``synth`` and ``bench`` check their options,
-``bench`` its variant names too, before reading or writing any data.
+default.  Options, typed or replayed, are checked before any data file is read
+or written: by :func:`check_options`, and the fit options by ``TrainConfig``.
 
 A dataset is one IDX pair, named by ``--images FILE --labels FILE``.
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .activation import SeriesDivergenceError, builtin_activation, compute_F
-from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS,
+from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS, check_steps,
                    make_variant, preprocess, read_idx, write_idx)
 from .glyphs import make_corpus
 from .kernel import GramFormatError, NormBoundError, kernel_matrix, write_gram
@@ -58,7 +58,7 @@ class ManifestFormatError(ValueError):
 USAGE_ERRORS = (ValueError,)
 DATA_ERRORS = (IdxFormatError, GramFormatError, ManifestFormatError, FileNotFoundError)
 NUMERIC_ERRORS = (SeriesDivergenceError, NumericalError, ConstructionError, NormBoundError,
-                  OverflowError)
+                  OverflowError, FloatingPointError)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +178,7 @@ def _add_idx_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--labels", default=None)
 
 
-def _resolve_idx_pair(args) -> tuple:
-    """The --images/--labels pair.  Not argparse's ``required=True``: that is
-    checked before ``--from-manifest`` presets the recorded pair."""
-    if not (args.images and args.labels):
-        raise ValueError("need both --images and --labels")
-    return args.images, args.labels
-
-
 def _load_features(images, labels, steps, limit=None):
-    if limit is not None and limit < 1:
-        raise ValueError(f"--limit {limit}: needs at least 1 row")
     ds = read_idx(images, labels)
     if limit is not None and limit < ds.n:
         ds = ds.subset(np.arange(limit))
@@ -301,26 +291,22 @@ def cmd_bound(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    if args.k < 0:
-        raise ValueError(f"--k {args.k}: depth must be nonnegative")
     t0 = time.time()
-    images, labels = _resolve_idx_pair(args)
-    fds = _load_features(images, labels, args.preprocess, args.limit)
+    fds = _load_features(args.images, args.labels, args.preprocess, args.limit)
     G = kernel_matrix(args.k, fds.X)
     write_gram(G, args.k, args.out)
-    timings = {"total": round(time.time() - t0, 3)}
-    _write_manifest(_manifest("gram", args, _sha256s([images, labels]), timings), args.out)
+    _write_manifest(_manifest("gram", args, _sha256s([args.images, args.labels]),
+                              {"total": round(time.time() - t0, 3)}), args.out)
     print(f"wrote {args.out}: n={len(G)} depth={args.k}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     t0 = time.time()
-    images, labels = _resolve_idx_pair(args)
     cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss,
                       max_iters=args.max_iters, tolerance=args.tol)
-    fds = _load_features(images, labels, tuple(args.preprocess), args.limit)
-    hashes = _sha256s([images, labels])
+    fds = _load_features(args.images, args.labels, tuple(args.preprocess), args.limit)
+    hashes = _sha256s([args.images, args.labels])
     rows = _usable_rows(fds)
     if len(rows) < fds.n:
         print(f"dropping {fds.n - len(rows)} zero-norm rows", file=sys.stderr)
@@ -337,7 +323,7 @@ def cmd_train(args) -> int:
     t2 = time.time()
     train_err = float((pred.classify_many(X) != y).mean())
 
-    payload = _model_payload(pred, images, labels, hashes, rows, args.preprocess)
+    payload = _model_payload(pred, args.images, args.labels, hashes, rows, args.preprocess)
     with open(args.out_model, "w") as f:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")
@@ -364,18 +350,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     pred, steps, size = _load_model(args.model)
-    images, labels = _resolve_idx_pair(args)
-    ds = read_idx(images, labels)
+    ds = read_idx(args.images, args.labels)
     if ds.n == 0:
-        raise IdxFormatError(f"{images}: evaluation set is empty")
+        raise IdxFormatError(f"{args.images}: evaluation set is empty")
     if ds.images.shape[1:] != size:
         raise IdxFormatError("{}: images are {}x{}, but the model's support images are "
-                             "{}x{}".format(images, *ds.images.shape[1:], *size))
+                             "{}x{}".format(args.images, *ds.images.shape[1:], *size))
     n_classes = len(pred.classes)
     try:
         check_labels(ds.labels, n_classes)
     except ValueError as e:
-        raise IdxFormatError(f"{labels}: {e}") from None
+        raise IdxFormatError(f"{args.labels}: {e}") from None
     fds = preprocess(ds, steps)
     guesses = pred.classify_many(fds.X)
     err = float((guesses != fds.labels).mean())
@@ -394,11 +379,10 @@ def cmd_eval(args) -> int:
 
 def cmd_variants(args) -> int:
     t0 = time.time()
-    images, labels = _resolve_idx_pair(args)
-    ds = read_idx(images, labels)
+    ds = read_idx(args.images, args.labels)
     out = make_variant(ds, args.kind, args.seed)
     write_idx(out, args.out_images, args.out_labels)
-    _write_manifest(_manifest("variants", args, _sha256s([images, labels]),
+    _write_manifest(_manifest("variants", args, _sha256s([args.images, args.labels]),
                               {"total": round(time.time() - t0, 3)}), args.out_images)
     print(f"wrote {args.out_images} / {args.out_labels} ({args.kind}, n={out.n})")
     return EXIT_OK
@@ -426,9 +410,6 @@ def cmd_hardness_demo(args) -> int:
 
 def cmd_synth(args) -> int:
     sizes = {"train": args.train, "val": args.val, "test": args.test}
-    for split, size in sizes.items():
-        if size < 0:  # numpy would refuse it only once --out-dir exists
-            raise ValueError(f"--{split} {size}: must be a nonnegative integer")
     os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.time()
     for i, (split, size) in enumerate(sizes.items()):
@@ -442,21 +423,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not args.data_dir:
-        raise ValueError("--data-dir is required; generate data with the synth command first")
-    for flag, values, what in (("--ks", args.ks, "depth"),
-                               ("--variants", args.variants, "variant")):
-        if not values:
-            raise ValueError(f"{flag} must name at least one {what}")
-        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
-        if repeated is not None:  # it would be fitted twice, into duplicate rows
-            raise ValueError(f"{flag} lists {repeated} more than once")
-    if min(args.ks) < 0:
-        raise ValueError(f"--ks {min(args.ks)}: depth must be nonnegative")
-    kinds = ("basic",) + VARIANT_KINDS
-    unknown = [v for v in args.variants if v not in kinds]
-    if unknown:
-        raise ValueError(f"--variants {unknown[0]}: not a variant; supported: {', '.join(kinds)}")
     # every config is built, and so checked, before any split is read or fitted
     cfgs = {k: TrainConfig(depth=k, budget=args.B, loss=args.loss, max_iters=args.max_iters)
             for k in args.ks}
@@ -627,6 +593,40 @@ def build_parser() -> tuple:
     return parser, subs.choices
 
 
+def check_options(args: argparse.Namespace) -> None:
+    """Raise ValueError for the first value of ``args`` that a row of ``checks``
+    refuses.  A test returns None, or the part of the value its message names."""
+    def below(low):
+        return lambda v: v if v is not None and v < low else None
+
+    def missing(value):
+        return None if value else ""
+
+    variants = ("basic",) + VARIANT_KINDS
+    checks = (
+        # not argparse's required=True, which runs before --from-manifest presets the pair
+        (("images", "labels"), missing, "need both --images and --labels"),
+        (("data_dir",), missing, "{flag} is required; generate data with the synth command first"),
+        # numpy would refuse these only once the command's work had begun
+        (("seed", "train", "val", "test"), below(0), "{flag} {bad}: must be a nonnegative integer"),
+        (("k",), below(0), "{flag} {bad}: depth must be nonnegative"),
+        (("limit",), below(1), "{flag} {bad}: needs at least 1 row"),
+        (("ks",), missing, "{flag} must name at least one depth"),
+        (("variants",), missing, "{flag} must name at least one variant"),
+        (("ks", "variants"), lambda vs: next((v for i, v in enumerate(vs) if v in vs[:i]), None),
+         "{flag} lists {bad} more than once"),  # it would be fitted twice, into duplicate rows
+        (("ks",), lambda ks: below(0)(min(ks)), "{flag} {bad}: depth must be nonnegative"),
+        (("variants",), lambda vs: next((v for v in vs if v not in variants), None),
+         "{flag} {bad}: not a variant; supported: " + ", ".join(variants)),
+        (("preprocess",), check_steps, None),  # it raises with its own message
+    )
+    for dests, test, message in checks:
+        for dest in (d for d in dests if d in vars(args)):  # the command's options
+            bad = test(getattr(args, dest))
+            if bad is not None:
+                raise ValueError(message.format(flag="--" + dest.replace("_", "-"), bad=bad))
+
+
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
@@ -635,9 +635,7 @@ def main(argv=None) -> int:
         # presets become defaults, so a flag on the command line still wins
         subparsers[args.command].set_defaults(**_presets(args, subparsers[args.command]))
         args = parser.parse_args(argv)
-        # numpy would refuse a negative seed only once the command's work had begun
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed {args.seed}: must be a nonnegative integer")
+        check_options(args)
         return args.func(args)
     except DATA_ERRORS as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -355,28 +355,29 @@ def make_variant(ds: ImageDataset, kind: str, seed: int,
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
-    """Flatten images and apply the steps in order.
+def check_steps(steps: Sequence[str]) -> None:
+    """Refuse no steps, a step not in PREPROCESS_STEPS, or deskew after center."""
+    if not steps:
+        raise ValueError(f"steps must be a nonempty ordered subset of {PREPROCESS_STEPS}")
+    for s in steps:
+        if s not in PREPROCESS_STEPS:
+            raise ValueError(f"unknown preprocessing step {s!r}; supported: {PREPROCESS_STEPS}")
+    if "center" in steps and "deskew" in steps[steps.index("center"):]:
+        raise ValueError(f"deskew must come before center, got {','.join(steps)}: deskew "
+                         "needs the nonnegative pixel mass that center takes away")
 
-    deskew resamples each image and must come before center (it needs the
-    nonnegative mass); center subtracts the per-image mean pixel;
+
+def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
+    """Flatten images and apply the steps, checked by :func:`check_steps`, in order.
+
+    deskew resamples each image; center subtracts the per-image mean pixel;
     normalize scales rows to unit l2 norm.  Zero-norm rows at the normalize
     step map to zero vectors and are flagged rather than raised.  The images
     are copied once and each step overwrites that copy, so memory is the
     output plus O(ROW_BLOCK x pixels) whatever the row count; deskew
     resamples IMAGE_BLOCK images at a time.
     """
-    steps = tuple(steps)
-    if not steps:
-        raise ValueError("steps must be a nonempty ordered subset of "
-                         f"{PREPROCESS_STEPS}")
-    for s in steps:
-        if s not in PREPROCESS_STEPS:
-            raise ValueError(f"unknown preprocessing step {s!r}; "
-                             f"supported: {PREPROCESS_STEPS}")
-    if "center" in steps and "deskew" in steps[steps.index("center"):]:
-        raise ValueError(f"deskew must come before center, got {','.join(steps)}: deskew "
-                         "needs the nonnegative pixel mass that center takes away")
+    check_steps(steps)
     n, h, w = ds.images.shape
     # the one copy; every step then works in place
     X = np.array(ds.images, order="C").reshape(n, h * w)
@@ -392,5 +393,5 @@ def preprocess(ds: ImageDataset, steps: Sequence[str]) -> FeatureDataset:
             flagged = tuple(int(i) for i in np.nonzero(zero)[0])
             X /= np.where(zero, 1.0, norms)[:, None]
             X[zero] = 0.0  # a centering residue under the cut is not yet zero
-    return FeatureDataset(X=X, labels=ds.labels, fingerprint=steps,
+    return FeatureDataset(X=X, labels=ds.labels, fingerprint=tuple(steps),
                           flagged_rows=flagged)

@@ -39,6 +39,12 @@ from .kernel import NORM_TOL, cross_kernel_blocks, kernel_matrix, row_norms
 #: form before projection is at most (2B)^2.
 MAX_BUDGET = math.sqrt(np.finfo(float).max) / 2
 
+#: the smallest positive budget whose B * B is a normal double, 2**-511.  Below
+#: it the quadratic form of an iterate off the ball can underflow to 0, and the
+#: projection would leave it there; at it, solves keep alpha' G alpha within
+#: B^2 (1 + 1e-14).
+MIN_BUDGET = math.sqrt(np.finfo(float).tiny)
+
 #: every REFRESH-th step makes ``P`` exact, ``A @ G``, against the drift of its running steps
 REFRESH = 50
 
@@ -112,6 +118,9 @@ class TrainConfig:
         if self.budget > MAX_BUDGET:
             raise OverflowError(f"budget must be at most {MAX_BUDGET!r}, above which "
                                 f"(2 * budget)^2 overflows; got {self.budget}")
+        if 0.0 < self.budget < MIN_BUDGET:
+            raise FloatingPointError(f"budget must be 0 or at least {MIN_BUDGET!r}, below "
+                                     f"which budget^2 underflows; got {self.budget}")
         if not self.tolerance > 0:  # NaN fails too
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         make_loss(self.loss, self.budget)  # refuses an unknown loss
@@ -125,7 +134,7 @@ class SolveReport:
     the tolerance over a patience window), ``max_iters``
     or ``zero_subgradient`` (the incumbent cannot improve).
     ``constraint_use`` is ``alpha' G alpha / B^2`` of the returned
-    coefficients, 0 where ``B * B`` is 0.
+    coefficients, 0 at B = 0.
     """
 
     iterations: int
@@ -214,9 +223,7 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
                 S_Q, Q = S, S @ G
             P = P - eta * (Q / n)
     q = _scale_onto_ball(best, best @ G, B)
-    # 0 where B * B is 0, at B = 0 and where it underflows (B below about
-    # 1.6e-162): there no step moves a loss value, so the incumbent is zero
-    use = q / (B * B) if B * B > 0 else np.zeros(C)
+    use = q / (B * B) if B > 0 else np.zeros(C)
     return best, tuple(SolveReport(int(k), str(r), float(o), min(float(u), 1.0))
                        for k, r, o, u in zip(iterations, reasons, best_obj, use))
 

@@ -102,11 +102,6 @@ def test_bound_unknown_activation_exits_2(capsys):
     assert "supported" in capsys.readouterr().err
 
 
-def test_bound_divergence_exits_4_with_level(capsys):
-    assert main(["bound", "--activation", "shifted_erf", "--k", "2", "--L", "3"]) == 4
-    assert "level 2" in capsys.readouterr().err
-
-
 def test_bound_divergence_names_the_level_once(capsys):
     assert main(["bound", "--activation", "shifted_erf", "--k", "2", "--L", "3"]) == 4
     err = capsys.readouterr().err
@@ -260,6 +255,19 @@ def test_train_refuses_an_overflowing_budget_before_reading_data(loss, tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: budget must be at most ")
         assert err.endswith(f"; got {float(B)}\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_refuses_an_underflowing_budget_before_reading_data(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 1e-170 used to train with iterates off the ball: B * B underflowed to 0
+    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
+    monkeypatch.setattr(cli, "read_idx", lambda *a: pytest.fail("read data"))
+    assert main(["train", "--images", ip, "--labels", lp, "--B", "1e-170",
+                 "--out-model", str(tmp_path / "m.json")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: budget must be 0 or at least ")
+    assert err.endswith("; got 1e-170\n")
     assert not (tmp_path / "m.json").exists()
 
 
@@ -479,6 +487,37 @@ def test_eval_names_a_malformed_model_with_exit_3(case, tmp_path, capsys):
     assert main(["eval", "--model", str(model), "--images", ip, "--labels", lp]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"data error: {model}: ")
+
+
+def _preprocess_error(steps):
+    """What ``data.preprocess`` says when it refuses ``steps``."""
+    with pytest.raises(ValueError) as e:
+        preprocess(ImageDataset(np.zeros((1, 28, 28)), np.zeros(1, dtype=int)), steps)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("steps", ["deskwe", "center,deskew"])
+@pytest.mark.parametrize("command", [
+    ["gram", "--out", "g.bin"],
+    ["train", "--out-model", "m.json"]], ids=["gram", "train"])
+def test_a_bad_preprocess_is_refused_before_the_data_is_read(command, steps, tmp_path, capsys):
+    # it used to be refused only by preprocess, after the IDX pair was read:
+    # a missing pair made a usage error exit 3
+    out = tmp_path / command[-1]
+    assert main([command[0], "--images", str(tmp_path / "nope-i.idx"),
+                 "--labels", str(tmp_path / "nope-l.idx"), "--preprocess", steps,
+                 command[1], str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {_preprocess_error(steps.split(','))}\n")
+    assert not out.exists()
+
+
+def test_bench_refuses_a_bad_preprocess_before_reading_a_split(tmp_path, capsys):
+    # it used to read every split, then draw the first variant, before refusing it
+    results = tmp_path / "results"
+    assert main(["bench", "--data-dir", str(tmp_path / "missing"), "--preprocess", "deskwe",
+                 "--out-dir", str(results)]) == 2
+    assert capsys.readouterr() == ("", f"error: {_preprocess_error(['deskwe'])}\n")
+    assert not results.exists()
 
 
 def test_train_refuses_deskew_after_center_with_exit_2(tmp_path, capsys):
@@ -963,6 +1002,26 @@ def test_replaying_a_data_manifest_needs_images_and_labels(tmp_path, monkeypatch
                  "--out-model", str(tmp_path / "m2.json")]) == 2
     assert capsys.readouterr().err == "error: need both --images and --labels\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_replayed_bad_preprocess_is_refused_like_the_flag(tmp_path, monkeypatch, capsys):
+    # it used to be refused only after the recorded IDX pair was read, so a
+    # pair that had gone made it exit 3
+    _, _, manifest = _train_then_manifest(tmp_path)
+    gone = [str(tmp_path / "gone-i.idx"), str(tmp_path / "gone-l.idx")]
+    stored = json.loads(Path(manifest).read_text())
+    stored["config"].update(images=gone[0], labels=gone[1], preprocess=["blur"])
+    Path(manifest).write_text(json.dumps(stored))
+    monkeypatch.setattr(cli, "read_idx", lambda *a: pytest.fail("read data"))
+    capsys.readouterr()
+    out = tmp_path / "m2.json"
+    assert main(["train", "--images", gone[0], "--labels", gone[1], "--preprocess", "blur",
+                 "--out-model", str(out)]) == 2
+    typed = capsys.readouterr()
+    assert typed == ("", f"error: {_preprocess_error(['blur'])}\n")
+    assert main(["train", "--from-manifest", manifest, "--out-model", str(out)]) == 2
+    assert capsys.readouterr() == typed
+    assert not out.exists()
 
 
 def test_replaying_a_data_manifest_with_images_and_labels_writes_the_same_model(tmp_path):

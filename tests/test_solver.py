@@ -14,6 +14,7 @@ from reckernel.kernel import ROW_BLOCK, KernelStack, NormBoundError, gram, kerne
 from reckernel.solver import (
     LOSS_KINDS,
     MAX_BUDGET,
+    MIN_BUDGET,
     REFRESH,
     DegenerateClassError,
     OneVsAllPredictor,
@@ -229,10 +230,45 @@ def test_train_config_refuses_a_budget_whose_doubled_square_overflows(loss):
 
 
 @pytest.mark.parametrize("loss", LOSS_KINDS)
+def test_train_config_refuses_a_budget_whose_square_underflows(loss):
+    # 1e-170 used to train with iterates off the ball: their quadratic forms
+    # and B * B both underflowed to 0, so projection never scaled them
+    below = math.nextafter(MIN_BUDGET, 0.0)
+    assert MIN_BUDGET * MIN_BUDGET == np.finfo(float).tiny > below * below
+    for budget in (below, 1e-170, 5e-324):
+        with pytest.raises(FloatingPointError,
+                           match=f"^budget .*; got {re.escape(str(budget))}$"):
+            TrainConfig(depth=1, budget=budget, loss=loss)
+    for budget in (0.0, MIN_BUDGET):
+        TrainConfig(depth=1, budget=budget, loss=loss)
+
+
+@pytest.mark.parametrize("loss", LOSS_KINDS)
 @pytest.mark.parametrize("depth", [1, 4])
-@pytest.mark.parametrize("budget", [1e-170, MAX_BUDGET], ids=["tiny", "largest"])
+def test_a_solve_at_the_budget_floor_keeps_every_iterate_on_the_ball(depth, loss, monkeypatch):
+    rng = np.random.default_rng(9)
+    G = kernel_matrix(depth, random_unit_rows(rng, 30, 5))
+    Y = np.where(rng.integers(0, 3, 30) == np.arange(3)[:, None], 1.0, -1.0)
+    uses = []
+
+    def projected(A, P, B):
+        q = _scale_onto_ball(A, P, B)
+        A = A / B  # exact, B being a power of 2: the forms stay normal doubles
+        uses.extend(np.einsum("ij,ij->i", A, A @ G))
+        return q
+
+    monkeypatch.setattr("reckernel.solver._scale_onto_ball", projected)
+    _minimize_on_gram(G, Y, TrainConfig(depth=depth, budget=MIN_BUDGET, loss=loss,
+                                        max_iters=300))
+    # alpha' G alpha <= B^2 (1 + 1e-9) for every iterate, and the ball binds
+    assert 1.0 - 1e-9 <= max(uses) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("loss", LOSS_KINDS)
+@pytest.mark.parametrize("depth", [1, 4])
+@pytest.mark.parametrize("budget", [MIN_BUDGET, MAX_BUDGET], ids=["tiny", "largest"])
 def test_solves_at_extreme_budgets_report_finite_values(budget, depth, loss):
-    # at 1e-170, B * B underflowed to 0, and constraint use came out 0 / 0
+    # the smallest and the largest positive budget TrainConfig accepts
     rng = np.random.default_rng(5)
     X = random_unit_rows(rng, 30, 5)
     pred = train_multiclass(X, rng.integers(0, 3, 30),
@@ -393,6 +429,7 @@ SAME_SOLVE_CASES = {
     **{f"hinge-B{B}": (_random_problem, {"budget": B}) for B in (0.0, 0.5, 1.0, 10.0)},
     "logistic": (_random_problem, {"budget": 2.0, "loss": "logistic"}),
     "squared": (_random_problem, {"budget": 2.0, "loss": "squared"}),
+    "hinge-floor": (_random_problem, {"budget": MIN_BUDGET}),
     "zero-subgradient-mid-run": (_stops_mid_run, {"budget": 1.5}),
     "window": (_random_problem, {"budget": 2.0, "max_iters": 5000, "patience": 7}),
 }
