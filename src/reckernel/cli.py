@@ -5,9 +5,10 @@ Every training or benchmark run writes a JSON manifest capturing the resolved
 configuration, seeds, input fingerprints, timings, the process's peak RSS,
 the core count and numpy's BLAS build; rerunning a command with the same
 flags reproduces its model files byte for byte.  ``train`` adds how each
-class's solve ended, and ``bench`` its ``runs``: one record per fit (each
-variant's kernel depths; depth 0 is the linear fit) with test and validation
-error, stage times and each class's solve.  ``bench.md`` and ``bench.csv``
+class's solve ended and the Gram products and rows its fit read, and
+``bench`` its ``runs``: one record per fit (each variant's kernel depths;
+depth 0 is the linear fit) with test and validation error, stage times,
+each class's solve and the fit's Gram reads.  ``bench.md`` and ``bench.csv``
 are rendered from the same records.
 
 ``train --from-manifest`` presets every option an earlier run recorded except
@@ -94,9 +95,10 @@ def _manifest(command: str, args: argparse.Namespace, inputs: dict,
     }
 
 
-def _solve_records(pred: OneVsAllPredictor) -> list:
-    """Each class's SolveReport as a manifest record."""
-    return [{"class": c, **dataclasses.asdict(r)} for c, r in enumerate(pred.reports)]
+def _fit_keys(pred: OneVsAllPredictor) -> dict:
+    """A fit's manifest keys: each class's SolveReport and the fit's reads of its Gram."""
+    return {"solve": [{"class": c, **dataclasses.asdict(r)} for c, r in enumerate(pred.reports)],
+            "gram_products": pred.gram_products, "gram_rows_read": pred.gram_rows_read}
 
 
 def _machine() -> dict:
@@ -340,7 +342,7 @@ def cmd_train(args) -> int:
     timings = {"load": round(t1 - t0, 3), "train": round(t2 - t1, 3),
                "total": round(time.time() - t0, 3)}
     manifest = _manifest("train", args, hashes, timings)
-    manifest["solve"] = _solve_records(pred)
+    manifest.update(_fit_keys(pred))
     _write_manifest(manifest, args.out_model)
     print(f"trained {len(pred.classes)} classes on {len(rows)} points: "
           f"train error {100 * train_err:.2f}%")
@@ -434,7 +436,7 @@ def cmd_bench(args) -> int:
             raise FileNotFoundError(
                 f"{ip} not found; run `reckernel synth --out-dir {args.data_dir}` first")
         ds = read_idx(ip, lp)
-        if not 1 <= size <= ds.n:  # an empty split would score NaN
+        if size > ds.n:  # check_options refused an empty split
             raise ValueError(f"--{split} {size}: the {split} split needs 1 to {ds.n} "
                              f"images, the rows of {ip}")
         splits.append(ds.subset(np.arange(size)))
@@ -467,7 +469,7 @@ def cmd_bench(args) -> int:
                             "test_error": test_err, "val_error": val_err,
                             "seconds": {"preprocess": t_pre, "train": round(t2 - t1, 3),
                                         "classify": round(t3 - t2, 3)},
-                            "solve": _solve_records(pred)})
+                            **_fit_keys(pred)})
             print(f"[{variant}] {method}: test {100 * test_err:.2f}% "
                   f"val {100 * val_err:.2f}% ({t3 - t1:.1f}s)")
 
@@ -609,6 +611,9 @@ def check_options(args: argparse.Namespace) -> None:
         (("data_dir",), missing, "{flag} is required; generate data with the synth command first"),
         # numpy would refuse these only once the command's work had begun
         (("seed", "train", "val", "test"), below(0), "{flag} {bad}: must be a nonnegative integer"),
+        # synth may write an empty split; bench would score one NaN
+        (("train", "val", "test") if args.command == "bench" else (), below(1),
+         "{flag} {bad}: a bench split needs at least 1 image"),
         (("k",), below(0), "{flag} {bad}: depth must be nonnegative"),
         (("limit",), below(1), "{flag} {bad}: needs at least 1 row"),
         (("ks",), missing, "{flag} must name at least one depth"),

@@ -15,12 +15,24 @@ predictors are immutable and safe to share across threads.
 
 The predictions ``P = A @ G`` are a running product: ``P`` steps by
 ``Q = S_Q @ G`` as ``A`` steps by the subgradient ``S``
-(``P' = P - eta Q / n``), where ``Q`` is recomputed only when ``S`` differs
-from the ``S_Q`` it was taken with, and every ``REFRESH``-th step makes ``P``
-exact as ``A @ G`` instead.  So a step takes at most one product with the
-n x n Gram: at B <= 1 the hinge keeps every pair active and ``S`` never
-changes, so a solve takes about ``max_iters / REFRESH`` products.  Results
-equal the product-per-step rule to rounding, not bit for bit.
+(``P' = P - eta Q / n``), and every ``REFRESH``-th step makes ``P`` exact as
+``A @ G`` instead.  ``Q`` follows ``S`` only where ``S`` differs from the
+``S_Q`` it was taken with.  When at most ``DELTA_SHARE`` of the entries
+changed, each class adds its changed entries of ``S - S_Q`` times their rows
+of G (G is symmetric, so rows stand in for columns); otherwise ``Q`` is one
+dense ``S @ G``.  So a step takes at most one product with the n x n Gram:
+at B <= 1 the hinge keeps every pair active and ``S`` never changes, so a
+solve takes about ``max_iters / REFRESH`` products, and at larger budgets,
+where few hinge pairs flip per step, most steps read a few rows of G.
+
+Results equal the product-per-step rule to rounding, not bit for bit.  Each
+delta adds the rounding of one dot product per changed class to ``Q``, so
+``Q`` drifts from ``S_Q @ G`` by the sum of those roundings since its last
+dense product, and ``P`` from ``A @ G`` by ``eta / n`` times that drift per
+step since the last refresh.  A hinge subgradient reads ``P`` only through
+the sign of ``1 - y P``, so where no margin comes within that drift of 1
+and the ball does not bind (its scaling reads ``P`` too), the iterates are
+bit-identical to those of a dense product at every change.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import NORM_TOL, cross_kernel_blocks, kernel_matrix, row_norms
+from .kernel import NORM_TOL, ROW_BLOCK, cross_kernel_blocks, kernel_matrix, row_norms
 
 #: the largest budget whose (2B)^2 is finite.  From a point on the ball a step
 #: adds RKHS norm at most (B / rho) * rho = B on unit rows, so the quadratic
@@ -47,6 +59,11 @@ MIN_BUDGET = math.sqrt(np.finfo(float).tiny)
 
 #: every REFRESH-th step makes ``P`` exact, ``A @ G``, against the drift of its running steps
 REFRESH = 50
+
+#: a step whose ``S`` changed in at most this share of its C x n entries
+#: updates ``Q`` through those entries alone, reading one row of G for each;
+#: above it, one dense ``S @ G`` is cheaper than the gathers
+DELTA_SHARE = 0.08
 
 
 class DegenerateClassError(ValueError):
@@ -174,14 +191,31 @@ def _check_unit_rows(X: np.ndarray):
             f"({bad.size} offending rows)")
 
 
+def _add_changed_rows(Q: np.ndarray, S: np.ndarray, S_Q: np.ndarray,
+                      changed: np.ndarray, G: np.ndarray) -> None:
+    """Add ``(S - S_Q) @ G`` to ``Q`` in place through the entries that
+    ``changed`` marks alone: per class c, the changed columns j contribute
+    ``(S - S_Q)[c, j] @ G[j]``, gathered at most ROW_BLOCK rows of G at a
+    time, so the temporaries are O(ROW_BLOCK x n) whatever the change."""
+    for c in np.flatnonzero(changed.any(axis=1)):
+        j = np.flatnonzero(changed[c])
+        for i in range(0, len(j), ROW_BLOCK):
+            rows = j[i:i + ROW_BLOCK]
+            Q[c] += (S[c, rows] - S_Q[c, rows]) @ G[rows]
+
+
 def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
                       callback: Optional[Callable[[int, int, float, float], None]] = None,
+                      work: Optional[dict] = None,
                       ) -> tuple[np.ndarray, tuple[SolveReport, ...]]:
     """Projected subgradient descent on the problems whose +-1 labels are the
     rows of ``Y`` (C, n), one row of the iterate ``A`` each.  Every rule acts
     per row, and a row that stops leaves the live set.  Returns each row's
     projected incumbent and report.  ``callback(c, t, objective, best)`` runs
-    for every live row at t before any row at t + 1.
+    for every live row at t before any row at t + 1.  A ``work`` dict gets
+    ``gram_products``, the dense products with G (the final ``best @ G``
+    included), and ``gram_rows_read``: n per dense product plus one row per
+    changed entry of each delta.
 
     ``P = A @ G`` is the running product of the module docstring, and
     ``Q == S_Q @ G`` for the subgradient ``S_Q`` last multiplied.  ``A``,
@@ -192,6 +226,7 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
     best_obj, window_best = np.full(C, math.inf), np.full(C, math.inf)
     iterations, reasons = np.full(C, cfg.max_iters), np.full(C, "max_iters", dtype=object)
     P, Q, S_Q = np.zeros((C, n)), np.zeros((C, n)), np.zeros((C, n))
+    products = delta_rows = 0
     for t in range(1, cfg.max_iters + 1):
         _scale_onto_ball(A, P, B)
         obj = np.mean(loss.value(P, Y), axis=1)
@@ -218,11 +253,22 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
         A = A - eta * (S / n)
         if t % REFRESH == 0:
             P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
+            products += 1
         else:
-            if not np.array_equal(S, S_Q):
-                S_Q, Q = S, S @ G
+            changed = S != S_Q
+            m = int(np.count_nonzero(changed))
+            if m > DELTA_SHARE * changed.size:
+                Q = S @ G
+                products += 1
+            elif m:
+                _add_changed_rows(Q, S, S_Q, changed, G)
+                delta_rows += m
+            S_Q = S
             P = P - eta * (Q / n)
     q = _scale_onto_ball(best, best @ G, B)
+    products += 1
+    if work is not None:
+        work.update(gram_products=products, gram_rows_read=products * n + delta_rows)
     use = q / (B * B) if B > 0 else np.zeros(C)
     return best, tuple(SolveReport(int(k), str(r), float(o), min(float(u), 1.0))
                        for k, r, o, u in zip(iterations, reasons, best_obj, use))
@@ -243,6 +289,9 @@ class OneVsAllPredictor:
     budget: float
     loss_kind: str
     reports: tuple[SolveReport, ...] = ()  # one per class; empty when loaded
+    #: the fit's reads of its Gram (see ``_minimize_on_gram``); 0 when loaded
+    gram_products: int = 0
+    gram_rows_read: int = 0
 
     def __post_init__(self):
         for name in ("support", "alphas"):
@@ -282,9 +331,10 @@ def _fit(X: np.ndarray, Y: np.ndarray, classes: tuple[int, ...], cfg: TrainConfi
     _check_unit_rows(X)
     G = kernel_matrix(cfg.depth, X)
     G.setflags(write=False)
-    alphas, reports = _minimize_on_gram(G, Y, cfg, callback)
+    work: dict = {}
+    alphas, reports = _minimize_on_gram(G, Y, cfg, callback, work)
     return OneVsAllPredictor(support=X, alphas=alphas, classes=classes, depth=cfg.depth,
-                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports)
+                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports, **work)
 
 
 def train(X, y, cfg: TrainConfig,

@@ -750,6 +750,9 @@ def test_bench_manifest_records_what_each_fit_used(bench_results):
             assert set(s) == {"class", "iterations", "stop_reason", "best_objective",
                               "constraint_use"}
             assert 1 <= s["iterations"] <= 30
+        # at least the final best @ G, and n rows per product
+        n = 60
+        assert r["gram_products"] >= 1 and r["gram_rows_read"] >= n * r["gram_products"]
     # a variant's fits share its preprocess time
     for variant in ("basic", "rotation"):
         assert len({r["seconds"]["preprocess"] for r in runs if r["variant"] == variant}) == 1
@@ -767,7 +770,7 @@ def test_every_manifest_carries_the_same_top_level_keys(bench_results, tmp_path)
         ("variants", tmp_path / "r-i.idx"), ("bench", bench_results / "bench"))}
     common = {"command", "config", "seed", "version", "inputs", "timings_s", "nproc", "blas",
               "peak_rss_mb"}
-    extra = {"train": {"solve"}, "bench": {"runs"}}
+    extra = {"train": {"solve", "gram_products", "gram_rows_read"}, "bench": {"runs"}}
     for name, manifest in manifests.items():
         assert manifest["command"] == name
         assert set(manifest) == common | extra.get(name, set()), name
@@ -805,8 +808,8 @@ def test_bench_table_csv_and_manifest_agree(bench_results):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--test", "0", "--test 0: the test split needs 1 to 30 images"),
-    ("--val", "0", "--val 0: the val split needs 1 to 10 images"),
+    # a split past its file's rows is refused once the file is read
+    ("--test", "31", "--test 31: the test split needs 1 to 30 images"),
     ("--variants", "", "--variants must name at least one variant"),
     # an empty --ks used to write an empty capacity line and exit 0
     ("--ks", "", "--ks must name at least one depth")])
@@ -820,6 +823,18 @@ def test_bench_refuses_an_empty_split(flag, value, message, tmp_path, capsys):
                  "--test", "30", "--ks", "1", "--variants", "basic", "--max-iters", "30",
                  "--out-dir", str(results), flag, value]) == 2
     assert message in capsys.readouterr().err
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_bench_refuses_an_empty_split_before_reading_its_files(split, tmp_path, capsys):
+    # it used to read the split files first, so a missing directory exited 3
+    # with "not found"; synth still writes an empty split
+    results = tmp_path / "results"
+    assert main(["bench", "--data-dir", str(tmp_path / "nope"), f"--{split}", "0",
+                 "--out-dir", str(results)]) == 2
+    message = f"error: --{split} 0: a bench split needs at least 1 image\n"
+    assert capsys.readouterr() == ("", message)
     assert not results.exists()
 
 

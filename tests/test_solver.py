@@ -19,6 +19,7 @@ from reckernel.solver import (
     DegenerateClassError,
     OneVsAllPredictor,
     TrainConfig,
+    _add_changed_rows,
     _minimize_on_gram,
     _scale_onto_ball,
     make_loss,
@@ -391,13 +392,16 @@ def test_best_objective_meets_the_subgradient_rate_at_scale(depth, rotation_rows
 # ---------------------------------------------------------------------------
 
 class CountingGram(np.ndarray):
-    """A Gram matrix that counts the matrix products taken with it."""
+    """A Gram matrix that counts the matrix products taken with it, and
+    lists the rows of it that each product reads (its gathered rows too)."""
 
     products = 0
+    reads: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
             CountingGram.products += 1
+            CountingGram.reads.append(sum(len(x) for x in inputs if isinstance(x, CountingGram)))
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
@@ -427,6 +431,8 @@ def _stops_mid_run():
 
 SAME_SOLVE_CASES = {
     **{f"hinge-B{B}": (_random_problem, {"budget": B}) for B in (0.0, 0.5, 1.0, 10.0)},
+    # few hinge pairs flip per step, so Q steps by deltas (see the next test)
+    "hinge-B100": (_random_problem, {"budget": 100.0}),
     "logistic": (_random_problem, {"budget": 2.0, "loss": "logistic"}),
     "squared": (_random_problem, {"budget": 2.0, "loss": "squared"}),
     "hinge-floor": (_random_problem, {"budget": MIN_BUDGET}),
@@ -452,6 +458,14 @@ def test_running_product_matches_the_per_step_oracle(case):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
         assert r.best_objective == pytest.approx(w.best_objective, rel=1e-12, abs=0)
         assert r.constraint_use == pytest.approx(w.constraint_use, rel=1e-12, abs=0)
+
+
+def test_the_budget_100_case_updates_q_through_deltas():
+    G, Y = _random_problem()
+    work = {}
+    _minimize_on_gram(G, Y, _config(**SAME_SOLVE_CASES["hinge-B100"][1]), work=work)
+    # rows beyond n per dense product are the deltas' gathered rows
+    assert work["gram_rows_read"] > work["gram_products"] * len(G)
 
 
 def test_a_cached_product_outlives_a_class_stopping():
@@ -503,6 +517,82 @@ def test_binding_hinge_solve_reuses_the_gram_product():
     assert [r.iterations for r in reports] == [T] * 3
     after = [taken[t + 1] - taken[t] for t in range(1, T)] + [CountingGram.products - taken[T]]
     assert after == [int(t == 1 or t % REFRESH == 0 or t == T) for t in range(1, T + 1)]
+
+
+def test_a_fit_counts_the_gram_products_and_rows_it_reads(rotation_rows):
+    # a 300-step solve at B = 100 on 1000 rows, where a product per step
+    # would read 300 * 1000 rows; the pins change only with the solver's work
+    X, y = rotation_rows
+    cfg = TrainConfig(depth=1, budget=100.0, max_iters=300, patience=301)
+    CountingGram.products, CountingGram.reads = 0, []
+    work = {}
+    _minimize_on_gram(kernel_matrix(1, X).view(CountingGram), _one_vs_all(y, 10), cfg, work=work)
+    n, reads = len(X), CountingGram.reads
+    # a product reads all n rows, a delta's gather fewer
+    assert work == {"gram_products": sum(r == n for r in reads), "gram_rows_read": sum(reads)}
+    assert work == {"gram_products": 30, "gram_rows_read": 143692}
+    fit = train_multiclass(X, y, cfg)
+    assert (fit.gram_products, fit.gram_rows_read) == (30, 143692)
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_running_products_stay_within_rounding_over_a_long_solve(depth, rotation_rows,
+                                                                  monkeypatch):
+    """To first order a dot product of m terms errs by at most m eps times
+    the sum of its |terms| (Higham's gamma_m).  ``Q`` sums a dense
+    ``S @ G`` and the deltas since, each a dot product of at most n terms
+    whose hinge coefficients are in {-1, 0, 1}, so with g1 the largest
+    column sum of |G|, after k deltas ``|Q - S_Q @ G| <= 2 (k + 1) n eps g1``
+    (the 2 covers the additions into ``Q``).  ``P`` is ``A @ G`` to
+    ``n eps max(|A| @ |G|)`` after a refresh, and each of the s steps since
+    adds ``eta / n <= B / n`` times Q's error, so
+    ``|P - A @ G| <= (s + 1) (n eps max(|A| @ |G|) + B / n * Q's bound)``.
+    Both are checked at every step over 1000 steps at B = 100 on 1000
+    rows, so just before each of the 19 refreshes too."""
+    X, y = rotation_rows
+    G = kernel_matrix(depth, X)
+    n, eps, B, T = len(X), np.finfo(float).eps, 100.0, 1000
+    g1 = np.abs(G).sum(axis=0).max()
+    deltas, steps, q_bound, worst = [0], [0], [2 * n * eps * g1], {"Q": 0.0, "P": 0.0}
+
+    def add(Q, S, S_Q, changed, G_):
+        _add_changed_rows(Q, S, S_Q, changed, G_)
+        deltas[0] += 1
+        q_bound[0] = 2 * (deltas[0] + 1) * n * eps * g1
+        worst["Q"] = max(worst["Q"], np.abs(Q - S @ G).max() / q_bound[0])
+
+    def scale(A, P, B_):
+        s = steps[0] % REFRESH  # steps since P was last made exact
+        steps[0] += 1
+        bound = (s + 1) * (n * eps * (np.abs(A) @ np.abs(G)).max() + B / n * q_bound[0])
+        worst["P"] = max(worst["P"], np.abs(P - A @ G).max() / bound if bound else 0.0)
+        return _scale_onto_ball(A, P, B_)
+
+    monkeypatch.setattr("reckernel.solver._add_changed_rows", add)
+    monkeypatch.setattr("reckernel.solver._scale_onto_ball", scale)
+    _, reports = _minimize_on_gram(G, _one_vs_all(y, 10), TrainConfig(
+        depth=depth, budget=B, max_iters=T, patience=T + 1))
+    assert deltas[0] > T // 2 and steps[0] == T + 1  # every step, then best @ G
+    assert worst["Q"] <= 1.0 and worst["P"] <= 1.0, worst
+
+
+def test_a_delta_gathers_at_most_row_block_rows_of_the_gram():
+    # every entry of both classes changed: a one-shot gather of the changed
+    # rows of one class would be the whole 50 MB Gram
+    n = 2500
+    rng = np.random.default_rng(16)
+    G = rng.random((n, n))
+    S, S_Q = np.where(rng.random((2, n)) < 0.5, -1.0, 1.0), np.zeros((2, n))
+    Q = np.zeros((2, n))
+    tracemalloc.start()
+    try:
+        _add_changed_rows(Q, S, S_Q, S != S_Q, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ROW_BLOCK * n * 8
+    # every block was added: to first order, within n eps of the sum of |terms|
+    assert np.abs(Q - S @ G).max() <= n * np.finfo(float).eps * G.sum(axis=0).max()
 
 
 # ---------------------------------------------------------------------------
