@@ -39,12 +39,11 @@ from .activation import SeriesDivergenceError, builtin_activation, compute_F
 from .data import (IdxFormatError, PREPROCESS_STEPS, VARIANT_KINDS, check_steps,
                    make_variant, preprocess, read_idx, write_idx)
 from .glyphs import make_corpus
-from .kernel import GramFormatError, NormBoundError, kernel_matrix, write_gram
+from .kernel import GRAM_HEADER_MAX, GramFormatError, NormBoundError, kernel_matrix, write_gram
 from .network import (ConstructionError, brute_force_margins,
                       build_hardness_net, net_to_json, random_halfspace_family,
                       required_budget, select_margin_param)
-from .solver import (LOSS_KINDS, NumericalError, OneVsAllPredictor, TrainConfig,
-                     check_labels, train_multiclass)
+from .solver import NumericalError, OneVsAllPredictor, TrainConfig, check_labels, train_multiclass
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -191,13 +190,13 @@ def _usable_rows(fds):
     return np.setdiff1d(np.arange(fds.n), np.array(fds.flagged_rows, dtype=int))
 
 
-def _model_payload(pred: OneVsAllPredictor, images, labels, hashes, rows, steps) -> dict:
+def _model_payload(pred, cfg: TrainConfig, images, labels, hashes, rows, steps) -> dict:
     # absolute support paths, so the model evaluates from any directory
     return {
         "format": "reckernel-model-v1",
-        "depth": pred.depth,
-        "B": pred.budget,
-        "loss": pred.loss_kind,
+        "depth": cfg.depth,
+        "B": cfg.budget,
+        "loss": cfg.loss,
         "classes": list(pred.classes),
         "alphas": [a.tolist() for a in pred.alphas],
         "support": {
@@ -214,8 +213,8 @@ def _model_payload(pred: OneVsAllPredictor, images, labels, hashes, rows, steps)
 def _load_model(path) -> tuple:
     """The model in ``path`` over its preprocessed support rows, its
     preprocessing steps and its support images' (height, width).  A file that
-    is not a model, or whose parts do not fit together, is a data error
-    naming it."""
+    is not a model, whose depth, B and loss ``TrainConfig`` refuses, or whose
+    parts do not fit together, is a data error naming it."""
     try:
         with open(path, "rb") as f:
             payload = json.load(f)
@@ -229,22 +228,16 @@ def _load_model(path) -> tuple:
         rows, steps = list(sup["rows"]), tuple(sup["preprocessing"])
         classes, depth = tuple(payload["classes"]), payload["depth"]
         alphas = np.array(payload["alphas"], dtype=float)
-        budget, loss = float(payload["B"]), str(payload["loss"])
-    except (KeyError, TypeError, ValueError) as e:
+        TrainConfig(depth=depth, budget=float(payload["B"]), loss=str(payload["loss"]))
+    except (KeyError, TypeError, ValueError, OverflowError, FloatingPointError) as e:
         raise IdxFormatError(f"{path}: malformed model: {type(e).__name__}: {e}") from None
     if classes != tuple(range(len(classes))):
         raise IdxFormatError(f"{path}: classes {classes} are not 0..{len(classes) - 1}")
-    if type(depth) is not int or depth < 0:
-        raise IdxFormatError(f"{path}: depth {depth!r} is not a nonnegative integer")
     if alphas.shape != (len(classes), len(rows)) or not np.isfinite(alphas).all():
         raise IdxFormatError(f"{path}: alphas have shape {alphas.shape}, expected a finite "
                              f"{len(classes)} x {len(rows)} (classes x support rows) matrix")
     if not rows:  # every row would score 0 and fall to class 0
         raise IdxFormatError(f"{path}: the model has no support rows")
-    if not 0.0 <= budget < np.inf:  # negated so that NaN fails too
-        raise IdxFormatError(f"{path}: B {budget} is not a finite budget >= 0")
-    if loss not in LOSS_KINDS:
-        raise IdxFormatError(f"{path}: loss {loss!r} is not one of {', '.join(LOSS_KINDS)}")
     # the support set is part of the model: refuse it if it changed on disk
     for kind, file in (("images", images), ("labels", labels)):
         recorded = sup.get(f"{kind}_sha256")
@@ -264,8 +257,7 @@ def _load_model(path) -> tuple:
         X = preprocess(ds.subset(np.array(rows, dtype=int)), steps).X
     except ValueError as e:  # the recorded steps: the rows are checked above
         raise IdxFormatError(f"{path}: {e}") from None
-    pred = OneVsAllPredictor(support=X, alphas=alphas, classes=classes, depth=depth,
-                             budget=budget, loss_kind=loss)
+    pred = OneVsAllPredictor(support=X, alphas=alphas, classes=classes, depth=depth)
     return pred, steps, ds.images.shape[1:]
 
 
@@ -305,8 +297,7 @@ def cmd_gram(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.time()
-    cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss,
-                      max_iters=args.max_iters, tolerance=args.tol)
+    cfg = TrainConfig(depth=args.k, budget=args.B, loss=args.loss, max_iters=args.max_iters)
     fds = _load_features(args.images, args.labels, tuple(args.preprocess), args.limit)
     hashes = _sha256s([args.images, args.labels])
     rows = _usable_rows(fds)
@@ -325,7 +316,7 @@ def cmd_train(args) -> int:
     t2 = time.time()
     train_err = float((pred.classify_many(X) != y).mean())
 
-    payload = _model_payload(pred, args.images, args.labels, hashes, rows, args.preprocess)
+    payload = _model_payload(pred, cfg, args.images, args.labels, hashes, rows, args.preprocess)
     with open(args.out_model, "w") as f:
         json.dump(payload, f, sort_keys=True)
         f.write("\n")
@@ -539,7 +530,7 @@ def build_parser() -> tuple:
 
     s = sub("gram", cmd_gram, help="export a kernel Gram matrix as binary")
     _add_idx_options(s)
-    s.add_argument("--preprocess", type=_steps_list, default=("normalize",))
+    s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--limit", type=int, default=None)
     s.add_argument("--out", required=True)
@@ -549,7 +540,6 @@ def build_parser() -> tuple:
     s.add_argument("--preprocess", type=_steps_list, default=PREPROCESS_STEPS)
     s.add_argument("--k", type=int, default=1)
     fit_options(s)
-    s.add_argument("--tol", type=float, default=TrainConfig.tolerance)
     s.add_argument("--limit", type=int, default=None)
     s.add_argument("--out-model", required=True)
     s.add_argument("--from-manifest", default=None,
@@ -615,6 +605,8 @@ def check_options(args: argparse.Namespace) -> None:
         (("train", "val", "test") if args.command == "bench" else (), below(1),
          "{flag} {bad}: a bench split needs at least 1 image"),
         (("k",), below(0), "{flag} {bad}: depth must be nonnegative"),
+        (("k",) if args.command == "gram" else (), lambda k: k if k > GRAM_HEADER_MAX else None,
+         "{flag} {bad}: a Gram file holds a depth of at most " + str(GRAM_HEADER_MAX)),
         (("limit",), below(1), "{flag} {bad}: needs at least 1 row"),
         (("ks",), missing, "{flag} must name at least one depth"),
         (("variants",), missing, "{flag} must name at least one variant"),

@@ -21,6 +21,8 @@ import numpy as np
 NORM_TOL = 1e-9
 
 GRAM_MAGIC = b"RKGM"
+#: the largest n or depth that the Gram export's uint32 header fields hold
+GRAM_HEADER_MAX = 2**32 - 1
 
 
 class NormBoundError(ValueError):
@@ -158,7 +160,11 @@ def gram(stack: KernelStack, X) -> GramMatrix:
 # ---------------------------------------------------------------------------
 
 def write_gram(G, depth: int, path) -> None:
-    """Write the n x n kernel matrix G of the given depth to ``path``."""
+    """Write the n x n kernel matrix G of the given depth to ``path``.  An n
+    or depth that the header cannot hold is refused before the file opens."""
+    for name, value in (("n", len(G)), ("depth", depth)):
+        if not 0 <= value <= GRAM_HEADER_MAX:
+            raise ValueError(f"{name} {value} does not fit the Gram header's uint32")
     with open(path, "wb") as f:
         f.write(GRAM_MAGIC)
         f.write(struct.pack("<II", len(G), depth))

@@ -65,6 +65,10 @@ REFRESH = 50
 #: above it, one dense ``S @ G`` is cheaper than the gathers
 DELTA_SHARE = 0.08
 
+#: the window rule: a class stops once ``patience`` steps cut its best
+#: objective by at most this share of it
+WINDOW_TOL = 1e-6
+
 
 class DegenerateClassError(ValueError):
     """A class index in the requested range never occurs in the labels."""
@@ -115,19 +119,20 @@ def make_loss(kind: str, B: float) -> Loss:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A fit's settings, checked here alone: the CLI's train, bench and eval build one."""
+
     depth: int
     budget: float
     loss: str = "hinge"
     max_iters: int = 5000
-    #: stop when the best objective improves by less than this (relative)
-    #: over ``patience`` iterations
-    tolerance: float = 1e-6
+    #: steps per window of the window rule (see ``WINDOW_TOL``)
     patience: int = 100
 
     def __post_init__(self):
         for name, low in (("depth", 0), ("max_iters", 1), ("patience", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:  # numpy integers pass
+            # numpy integers pass; a bool is an Integral but no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         # negated so that NaN fails too
         if not 0.0 <= self.budget < math.inf:
@@ -138,8 +143,6 @@ class TrainConfig:
         if 0.0 < self.budget < MIN_BUDGET:
             raise FloatingPointError(f"budget must be 0 or at least {MIN_BUDGET!r}, below "
                                      f"which budget^2 underflows; got {self.budget}")
-        if not self.tolerance > 0:  # NaN fails too
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         make_loss(self.loss, self.budget)  # refuses an unknown loss
 
 
@@ -147,8 +150,8 @@ class TrainConfig:
 class SolveReport:
     """How the solve of one class ended.
 
-    ``stop_reason`` is ``window`` (the best objective improved by less than
-    the tolerance over a patience window), ``max_iters``
+    ``stop_reason`` is ``window`` (the best objective improved by at most
+    ``WINDOW_TOL`` of itself over a patience window), ``max_iters``
     or ``zero_subgradient`` (the incumbent cannot improve).
     ``constraint_use`` is ``alpha' G alpha / B^2`` of the returned
     coefficients, 0 at B = 0.
@@ -240,7 +243,7 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
             # the first window has no earlier best to compare against
             prev, window_best[live] = window_best[live], best_obj[live]
             stalled = np.isfinite(prev) & (
-                prev - best_obj[live] <= cfg.tolerance * np.maximum(np.abs(prev), 1e-12))
+                prev - best_obj[live] <= WINDOW_TOL * np.maximum(np.abs(prev), 1e-12))
         S = loss.subgradient(P, Y)
         stop = stalled | ~S.any(axis=1)  # zero subgradient: the incumbent cannot improve
         if stop.any():
@@ -286,8 +289,6 @@ class OneVsAllPredictor:
     alphas: np.ndarray  # (n_classes, n_support)
     classes: tuple[int, ...]
     depth: int
-    budget: float
-    loss_kind: str
     reports: tuple[SolveReport, ...] = ()  # one per class; empty when loaded
     #: the fit's reads of its Gram (see ``_minimize_on_gram``); 0 when loaded
     gram_products: int = 0
@@ -334,7 +335,7 @@ def _fit(X: np.ndarray, Y: np.ndarray, classes: tuple[int, ...], cfg: TrainConfi
     work: dict = {}
     alphas, reports = _minimize_on_gram(G, Y, cfg, callback, work)
     return OneVsAllPredictor(support=X, alphas=alphas, classes=classes, depth=cfg.depth,
-                             budget=cfg.budget, loss_kind=cfg.loss, reports=reports, **work)
+                             reports=reports, **work)
 
 
 def train(X, y, cfg: TrainConfig,

@@ -54,7 +54,7 @@ def solver_fixture_set():
     """
     theta = np.pi / 5
     slanted = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
-    shared = dict(max_iters=20000, tolerance=1e-12)
+    shared = dict(max_iters=20000)
     cases = [
         ("separable-pair", np.eye(2), np.array([1.0, -1.0]), "hinge", 10.0),
         ("single-point-tight", np.eye(1), np.array([1.0]), "hinge", 0.5),

@@ -25,7 +25,8 @@ from reckernel.activation import (CONVERGENCE_RUN, LN2, TERM_CAP, LogValue,
 from reckernel.data import NOISE_AMPLITUDE, NOISE_GRID, NOISE_THRESHOLD, FeatureDataset
 from reckernel.kernel import _check_rows, kernel_matrix
 from reckernel.network import NetworkStructureError
-from reckernel.solver import NumericalError, SolveReport, _scale_onto_ball, make_loss
+from reckernel.solver import (WINDOW_TOL, NumericalError, SolveReport, _scale_onto_ball,
+                              make_loss)
 
 
 class FeatureMapCapacityError(ValueError):
@@ -163,7 +164,7 @@ def minimize_on_gram(G, Y, cfg, callback=None):
         if t % cfg.patience == 0:
             prev, window_best[live] = window_best[live], best_obj[live]
             stalled = np.isfinite(prev) & (
-                prev - best_obj[live] <= cfg.tolerance * np.maximum(np.abs(prev), 1e-12))
+                prev - best_obj[live] <= WINDOW_TOL * np.maximum(np.abs(prev), 1e-12))
         S = loss.subgradient(P, Y)
         stop = stalled | ~S.any(axis=1)
         if stop.any():

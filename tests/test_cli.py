@@ -9,9 +9,10 @@ import pytest
 
 from reckernel import cli
 from reckernel.cli import main
-from reckernel.data import ImageDataset, preprocess, read_idx, write_idx
+from reckernel.data import PREPROCESS_STEPS, ImageDataset, preprocess, read_idx, write_idx
 from reckernel.glyphs import make_corpus
-from reckernel.kernel import read_gram
+from reckernel.kernel import kernel_matrix, read_gram
+from reckernel.solver import MAX_BUDGET, MIN_BUDGET
 
 
 def one_hot_dataset(tmp_path, n=3, per_class=1):
@@ -42,7 +43,7 @@ CLI_SURFACE = {
     "bound": {"--activation", "--k", "--L"},
     "gram": {"--images", "--labels", "--preprocess", "--k", "--limit", "--out"},
     "train": {"--images", "--labels", "--preprocess", "--k", "--B", "--loss", "--max-iters",
-              "--tol", "--limit", "--out-model", "--from-manifest"},
+              "--limit", "--out-model", "--from-manifest"},
     "eval": {"--model", "--images", "--labels", "--out"},
     "variants": {"--images", "--labels", "--kind", "--seed", "--out-images", "--out-labels"},
     "hardness-demo": {"--d", "--T", "--budget", "--activation", "--margin-param", "--seed",
@@ -136,6 +137,34 @@ def test_gram_refuses_a_negative_depth_before_reading(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --k -1: depth must be nonnegative\n"
     assert not out.exists()
+
+
+def test_gram_refuses_a_depth_its_header_cannot_hold_before_reading(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the header packs the depth as uint32: --k 2**32 used to end in a
+    # struct.error traceback, exit 1, after a 4-byte file was written
+    monkeypatch.setattr(cli, "read_idx", lambda *a: pytest.fail("read data"))
+    out = tmp_path / "g.bin"
+    assert main(["gram", "--images", str(tmp_path / "missing-i.idx"),
+                 "--labels", str(tmp_path / "missing-l.idx"), "--k", str(2**32),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --k 4294967296: a Gram file holds a depth "
+                                       "of at most 4294967295\n")
+    assert not out.exists()
+
+
+def test_gram_preprocesses_as_train_does_by_default(tmp_path):
+    # gram used to default to normalize alone, so the Gram it wrote was not
+    # that of the features train fits with the same flags
+    _, subparsers = cli.build_parser()
+    assert {subparsers[c].get_default("preprocess") for c in ("gram", "train", "bench")} == {
+        PREPROCESS_STEPS}
+    ip, lp = tmp_path / "g-i.idx", tmp_path / "g-l.idx"
+    write_idx(make_corpus(6, seed=2), ip, lp)
+    out = tmp_path / "g.bin"
+    assert main(["gram", "--images", str(ip), "--labels", str(lp), "--out", str(out)]) == 0
+    X = preprocess(read_idx(ip, lp), PREPROCESS_STEPS).X
+    assert np.array_equal(read_gram(out)[0], kernel_matrix(1, X))
 
 
 def test_train_eval_toy_three_classes(tmp_path, capsys):
@@ -278,18 +307,6 @@ def test_bench_refuses_an_overflowing_budget_before_reading_data(tmp_path, monke
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numeric failure: budget must be at most ")
     assert not (tmp_path / "results").exists()
-
-
-@pytest.mark.parametrize("flag, field, value", [
-    # a NaN tolerance used to switch the window stop off without a word
-    ("--tol", "tolerance", "nan")], ids=["tol-nan"])
-def test_train_refuses_a_step_size_that_is_not_positive(flag, field, value, tmp_path, capsys):
-    ip, lp = one_hot_dataset(tmp_path, n=3, per_class=2)
-    rc = main(["train", "--images", ip, "--labels", lp, "--preprocess", "normalize",
-               f"{flag}={value}", "--max-iters", "10", "--out-model", str(tmp_path / "m.json")])
-    assert rc == 2
-    assert capsys.readouterr().err == f"error: {field} must be positive, got {float(value)}\n"
-    assert not (tmp_path / "m.json").exists()
 
 
 def test_train_records_each_class_solve(tmp_path, capsys):
@@ -461,12 +478,16 @@ MALFORMED_MODELS = {
     "alphas_rows_too_short": lambda m: m.update(alphas=[a[:-1] for a in m["alphas"]]),
     "classes_cut": lambda m: m.update(classes=m["classes"][:4]),
     "negative_depth": lambda m: m.update(depth=-1),
+    "bool_depth": lambda m: m.update(depth=True),
     "unknown_step": lambda m: m["support"].update(preprocessing=["blur"]),
     # these four used to be scored: no support rows put every row in class 0
     "no_support_rows": _drop_support_rows,
     "nan_budget": lambda m: m.update(B="nan"),
     "negative_budget": lambda m: m.update(B=-3.0),
     "unknown_loss": lambda m: m.update(loss="bogus"),
+    # these two used to be scored, though train refuses both budgets
+    "budget_above_max": lambda m: m.update(B=2 * MAX_BUDGET),
+    "budget_below_min": lambda m: m.update(B=MIN_BUDGET / 2),
 }
 
 
@@ -978,10 +999,10 @@ def test_explicit_flag_beats_from_manifest(tmp_path, capsys):
 
 def _older_manifest(manifest):
     """``manifest`` as the CLI recorded it while it still had ``--data``,
-    ``train --classes`` and an unset ``train --eta0``."""
+    ``train --classes``, an unset ``train --eta0`` and ``train --tol``."""
     stored = json.loads(Path(manifest).read_text())
     stored["config"].update(data=str(Path(manifest).parent / "toy"), classes=3,
-                            images=None, labels=None, eta0=None)
+                            images=None, labels=None, eta0=None, tol=1e-3)
     Path(manifest).write_text(json.dumps(stored))
 
 
@@ -1047,4 +1068,4 @@ def test_replaying_a_data_manifest_with_images_and_labels_writes_the_same_model(
                  "--out-model", str(replay)]) == 0
     assert replay.read_bytes() == (tmp_path / "m1.json").read_bytes()
     recorded = json.loads((tmp_path / "m2.json.manifest.json").read_text())["config"]
-    assert not {"data", "classes", "eta0"} & recorded.keys()
+    assert not {"data", "classes", "eta0", "tol"} & recorded.keys()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reckernel.kernel import (
+    GRAM_HEADER_MAX,
     GramFormatError,
     KernelStack,
     NormBoundError,
@@ -275,6 +276,32 @@ def test_gram_export_rejects_corruption(tmp_path):
     (tmp_path / "short.bin").write_bytes(blob[:-8])
     with pytest.raises(GramFormatError, match="expected"):
         read_gram(tmp_path / "short.bin")
+
+
+class _RowCount:
+    """Stands in for a Gram of ``n`` rows, too many to allocate."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+@pytest.mark.parametrize("G, depth, refused", [
+    (np.eye(2), GRAM_HEADER_MAX + 1, "depth 4294967296"),
+    (np.eye(2), -1, "depth -1"),
+    (_RowCount(GRAM_HEADER_MAX + 1), 1, "n 4294967296")],
+    ids=["depth-2**32", "depth-neg", "n-2**32"])
+def test_gram_export_refuses_a_header_value_out_of_range_before_opening(G, depth, refused,
+                                                                         tmp_path):
+    # struct.pack used to raise only after the magic was written
+    path = tmp_path / "g.bin"
+    with pytest.raises(ValueError, match=f"^{refused} does not fit the Gram header's uint32"):
+        write_gram(G, depth, path)
+    assert not path.exists()
+    write_gram(np.eye(2), GRAM_HEADER_MAX, path)
+    assert read_gram(path)[1] == GRAM_HEADER_MAX
 
 
 # ---------------------------------------------------------------------------

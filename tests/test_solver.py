@@ -16,6 +16,7 @@ from reckernel.solver import (
     MAX_BUDGET,
     MIN_BUDGET,
     REFRESH,
+    WINDOW_TOL,
     DegenerateClassError,
     OneVsAllPredictor,
     TrainConfig,
@@ -177,8 +178,6 @@ def test_train_rejects_bad_inputs():
         train(np.eye(2), np.array([1.0, 0.0]), TrainConfig(depth=1, budget=1.0))
     with pytest.raises(ValueError):
         TrainConfig(depth=1, budget=1.0, max_iters=0)
-    with pytest.raises(ValueError):
-        TrainConfig(depth=1, budget=1.0, tolerance=0.0)
     # numpy integers are integers
     TrainConfig(depth=np.int64(2), budget=1.0, max_iters=np.int32(5), patience=np.uint8(3))
 
@@ -206,13 +205,14 @@ def test_train_refuses_every_row_the_kernel_would(fit, y):
 @pytest.mark.parametrize("field, value", [("patience", 0), ("patience", -3), ("patience", 2.5),
                                           ("depth", 1.5), ("max_iters", 2.5),
                                           ("budget", np.nan), ("budget", np.inf),
-                                          ("tolerance", np.nan)])
+                                          ("depth", True), ("max_iters", True),
+                                          ("patience", True)])
 def test_train_config_rejects_bad_patience_and_budget(field, value):
     # patience 0 used to fail mid-solve on t % 0, a negative one acted as its
-    # absolute value, and a NaN budget was accepted; a NaN tolerance switched
-    # the window stop off; a fractional depth trained on a kernel outside the
-    # family, a fractional patience checked its window at multiples of it, and
-    # a fractional max_iters failed in range
+    # absolute value, and a NaN budget was accepted; a fractional depth
+    # trained on a kernel outside the family, a fractional patience checked
+    # its window at multiples of it, and a fractional max_iters failed in
+    # range; True, an Integral, passed as 1 where the model loader refused it
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{"depth": 1, "budget": 1.0, field: value})
 
@@ -293,7 +293,7 @@ def test_best_objective_non_increasing_in_max_iters():
     y = np.where(rng.random(10) < 0.5, 1.0, -1.0)
     objs = []
     for iters in (50, 200, 1000, 4000):
-        cfg = TrainConfig(depth=1, budget=2.0, max_iters=iters, tolerance=1e-15)
+        cfg = TrainConfig(depth=1, budget=2.0, max_iters=iters)
         p = train(X, y, cfg)
         objs.append(objective_of(X, y, "hinge", 2.0, p.alphas[0]))
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
@@ -600,8 +600,7 @@ def test_a_delta_gathers_at_most_row_block_rows_of_the_gram():
 # ---------------------------------------------------------------------------
 
 def binary_predictor(support, alpha, depth):
-    return OneVsAllPredictor(support=support, alphas=alpha[None, :], classes=(1,),
-                             depth=depth, budget=1.0, loss_kind="hinge")
+    return OneVsAllPredictor(support=support, alphas=alpha[None, :], classes=(1,), depth=depth)
 
 
 def test_predict_zero_alpha():
@@ -676,8 +675,7 @@ def random_predictor(rng, n_support, d, n_classes, depth):
     # scores of order 1, so an absolute tolerance means what it says
     alphas = rng.normal(size=(n_classes, n_support)) / n_support
     return OneVsAllPredictor(support=random_unit_rows(rng, n_support, d), alphas=alphas,
-                             classes=tuple(range(10, 10 + n_classes)), depth=depth,
-                             budget=1.0, loss_kind="hinge")
+                             classes=tuple(range(10, 10 + n_classes)), depth=depth)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 4])
@@ -846,7 +844,7 @@ def test_window_stop_waits_for_a_full_window():
         b = [np.inf] + bests[c]  # b[t] is the best objective after iteration t
         assert r.stop_reason == "window" and len(b) - 1 == r.iterations > cfg.patience
         stalled = [t for t in range(2 * cfg.patience, len(b), cfg.patience)
-                   if b[t - cfg.patience] - b[t] <= cfg.tolerance * abs(b[t - cfg.patience])]
+                   if b[t - cfg.patience] - b[t] <= WINDOW_TOL * abs(b[t - cfg.patience])]
         assert stalled == [r.iterations]
 
 
