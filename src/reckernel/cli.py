@@ -228,7 +228,7 @@ def _load_model(path) -> tuple:
         rows, steps = list(sup["rows"]), tuple(sup["preprocessing"])
         classes, depth = tuple(payload["classes"]), payload["depth"]
         alphas = np.array(payload["alphas"], dtype=float)
-        TrainConfig(depth=depth, budget=float(payload["B"]), loss=str(payload["loss"]))
+        TrainConfig(depth=depth, budget=payload["B"], loss=str(payload["loss"]))
     except (KeyError, TypeError, ValueError, OverflowError, FloatingPointError) as e:
         raise IdxFormatError(f"{path}: malformed model: {type(e).__name__}: {e}") from None
     if classes != tuple(range(len(classes))):

@@ -49,9 +49,9 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_rows(X: np.ndarray, label: str) -> None:
-    """Raise NormBoundError for the first row of X outside the unit ball,
-    named ``label.format(i)``; a NaN or infinite norm fails too."""
+def _check_rows(X: np.ndarray, label: str) -> np.ndarray:
+    """The row norms of X; raise NormBoundError for the first row outside
+    the unit ball, named ``label.format(i)``, a NaN or infinite norm too."""
     norms = row_norms(X)
     bad = np.flatnonzero(~(norms <= 1.0 + NORM_TOL))
     if bad.size:
@@ -60,12 +60,14 @@ def _check_rows(X: np.ndarray, label: str) -> None:
         why = (f"l2 norm {n:.12g} > 1 (tolerance {NORM_TOL:g})" if math.isfinite(n)
                else f"non-finite l2 norm {n}")
         raise NormBoundError(f"{label.format(i)} has {why}")
+    return norms
 
 
 def _operands(depth: int, A, B, label: str) -> tuple:
     """A with its rows checked, and B unless it is None, as 2-d float arrays
     of equal width."""
-    if not isinstance(depth, numbers.Integral) or depth < 0:  # numpy integers pass
+    # numpy integers pass; a bool is an Integral but no depth
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
     A = np.ascontiguousarray(np.atleast_2d(A), dtype=float)
     _check_rows(A, label)

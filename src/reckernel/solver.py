@@ -15,24 +15,28 @@ predictors are immutable and safe to share across threads.
 
 The predictions ``P = A @ G`` are a running product: ``P`` steps by
 ``Q = S_Q @ G`` as ``A`` steps by the subgradient ``S``
-(``P' = P - eta Q / n``), and every ``REFRESH``-th step makes ``P`` exact as
-``A @ G`` instead.  ``Q`` follows ``S`` only where ``S`` differs from the
-``S_Q`` it was taken with.  When at most ``DELTA_SHARE`` of the entries
+(``P' = P - eta Q / n``).  ``Q`` follows ``S`` only where ``S`` differs from
+the ``S_Q`` it was taken with.  When at most ``DELTA_SHARE`` of the entries
 changed, each class adds its changed entries of ``S - S_Q`` times their rows
 of G (G is symmetric, so rows stand in for columns); otherwise ``Q`` is one
 dense ``S @ G``.  So a step takes at most one product with the n x n Gram:
 at B <= 1 the hinge keeps every pair active and ``S`` never changes, so a
-solve takes about ``max_iters / REFRESH`` products, and at larger budgets,
-where few hinge pairs flip per step, most steps read a few rows of G.
+solve takes two products, ``S @ G`` after its first step and the final
+``best @ G``, and at larger budgets, where few hinge pairs flip per step,
+most steps read a few rows of G.
 
-Results equal the product-per-step rule to rounding, not bit for bit.  Each
-delta adds the rounding of one dot product per changed class to ``Q``, so
-``Q`` drifts from ``S_Q @ G`` by the sum of those roundings since its last
-dense product, and ``P`` from ``A @ G`` by ``eta / n`` times that drift per
-step since the last refresh.  A hinge subgradient reads ``P`` only through
-the sign of ``1 - y P``, so where no margin comes within that drift of 1
-and the ball does not bind (its scaling reads ``P`` too), the iterates are
-bit-identical to those of a dense product at every change.
+Results equal the product-per-step rule to rounding, not bit for bit.  To
+first order a dot product of m terms errs by at most m eps times the sum of
+its |terms| (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+section 3.1).  So with hinge coefficients in {-1, 0, 1} and g1 the largest
+column sum of |G|, k deltas leave ``|Q - S_Q @ G| <= e_Q = 2 (k + 1) n eps g1``
+(2 for the additions into ``Q``), and s steps, each adding its own rounding
+and ``eta / n <= B / n`` times Q's error to ``P``, which starts exact, leave
+``|P - A @ G| <= (s + 1) (n eps max(|A| @ |G|) + B e_Q / n)``.  A hinge
+subgradient reads ``P`` only through the sign of ``1 - y P``, so where no
+margin comes within that bound of 1 and the ball does not bind (its scaling
+reads ``P`` too), the iterates are bit-identical to those of a dense product
+at every change.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import NORM_TOL, ROW_BLOCK, cross_kernel_blocks, kernel_matrix, row_norms
+from .kernel import ROW_BLOCK, _check_rows, cross_kernel_blocks, kernel_matrix
 
 #: the largest budget whose (2B)^2 is finite.  From a point on the ball a step
 #: adds RKHS norm at most (B / rho) * rho = B on unit rows, so the quadratic
@@ -56,9 +60,6 @@ MAX_BUDGET = math.sqrt(np.finfo(float).max) / 2
 #: projection would leave it there; at it, solves keep alpha' G alpha within
 #: B^2 (1 + 1e-14).
 MIN_BUDGET = math.sqrt(np.finfo(float).tiny)
-
-#: every REFRESH-th step makes ``P`` exact, ``A @ G``, against the drift of its running steps
-REFRESH = 50
 
 #: a step whose ``S`` changed in at most this share of its C x n entries
 #: updates ``Q`` through those entries alone, reading one row of G for each;
@@ -134,9 +135,10 @@ class TrainConfig:
             # numpy integers pass; a bool is an Integral but no count
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        # negated so that NaN fails too
-        if not 0.0 <= self.budget < math.inf:
-            raise ValueError(f"budget must be finite and nonnegative, got {self.budget}")
+        # a bool is a Real but no budget; negated so that NaN fails too
+        if (isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Real)
+                or not 0.0 <= self.budget < math.inf):
+            raise ValueError(f"budget must be a finite nonnegative real, got {self.budget!r}")
         if self.budget > MAX_BUDGET:
             raise OverflowError(f"budget must be at most {MAX_BUDGET!r}, above which "
                                 f"(2 * budget)^2 overflows; got {self.budget}")
@@ -181,17 +183,15 @@ def _scale_onto_ball(A: np.ndarray, P: np.ndarray, B: float) -> np.ndarray:
 
 
 def _check_unit_rows(X: np.ndarray):
-    """Refuse rows whose norm is not in [1 - 1e-6, 1 + NORM_TOL]: below, they
-    are not unit-norm; above, the kernel would refuse them."""
-    norms = row_norms(X)
-    # negated so that NaN norms fail too
-    bad = np.nonzero(~((1.0 - 1e-6 <= norms) & (norms <= 1.0 + NORM_TOL)))[0]
-    if bad.size:
-        i = int(bad[0])
-        kind = "" if math.isfinite(norms[i]) else "non-finite "
-        raise ValueError(
-            f"training rows must be unit-norm; row {i} has {kind}norm {norms[i]:.9g} "
-            f"({bad.size} offending rows)")
+    """Refuse rows outside the unit ball as the kernel does, with its
+    NormBoundError, then rows inside it but below 1 - 1e-6, which are not
+    unit-norm."""
+    norms = _check_rows(X, "training row {}")
+    short = np.flatnonzero(norms < 1.0 - 1e-6)
+    if short.size:
+        i = int(short[0])
+        raise ValueError(f"training rows must be unit-norm; row {i} has norm "
+                         f"{norms[i]:.9g} ({short.size} offending rows)")
 
 
 def _add_changed_rows(Q: np.ndarray, S: np.ndarray, S_Q: np.ndarray,
@@ -222,7 +222,8 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
 
     ``P = A @ G`` is the running product of the module docstring, and
     ``Q == S_Q @ G`` for the subgradient ``S_Q`` last multiplied.  ``A``,
-    ``P``, ``Q`` and ``S_Q`` all start at zero, so both hold exactly at t = 1."""
+    ``P``, ``Q`` and ``S_Q`` all start at zero, so both hold exactly at t = 1,
+    and within the module docstring's rounding bounds after."""
     (C, n), B = Y.shape, cfg.budget
     loss = make_loss(cfg.loss, B)
     live, A, best = np.arange(C), np.zeros((C, n)), np.zeros((C, n))
@@ -254,20 +255,16 @@ def _minimize_on_gram(G: np.ndarray, Y: np.ndarray, cfg: TrainConfig,
             break  # no step, so no product, after the last
         eta = B / loss.rho / math.sqrt(t)
         A = A - eta * (S / n)
-        if t % REFRESH == 0:
-            P = A @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G a_c
+        changed = S != S_Q
+        m = int(np.count_nonzero(changed))
+        if m > DELTA_SHARE * changed.size:
+            Q = S @ G  # one GEMM for all live rows; G is exactly symmetric, so row c is G s_c
             products += 1
-        else:
-            changed = S != S_Q
-            m = int(np.count_nonzero(changed))
-            if m > DELTA_SHARE * changed.size:
-                Q = S @ G
-                products += 1
-            elif m:
-                _add_changed_rows(Q, S, S_Q, changed, G)
-                delta_rows += m
-            S_Q = S
-            P = P - eta * (Q / n)
+        elif m:
+            _add_changed_rows(Q, S, S_Q, changed, G)
+            delta_rows += m
+        S_Q = S
+        P = P - eta * (Q / n)
     q = _scale_onto_ball(best, best @ G, B)
     products += 1
     if work is not None:

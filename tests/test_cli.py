@@ -270,6 +270,23 @@ def test_train_squared_loss_overflow_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric failure:")
 
 
+@pytest.mark.parametrize("command", [
+    ["gram", *idx_flags("{d}/basic-train"), "--out", "{d}/out"],
+    ["train", *idx_flags("{d}/basic-train"), "--out-model", "{d}/out"],
+    ["bench", "--data-dir", "{d}", "--train", "20", "--val", "5", "--test", "10",
+     "--ks", "1", "--variants", "basic", "--max-iters", "10", "--out-dir", "{d}/out"]],
+    ids=["gram", "train", "bench"])
+def test_rows_outside_the_unit_ball_exit_4_from_every_command(command, tmp_path, capsys):
+    # centered glyphs that are not normalized leave the ball: train and bench
+    # used to exit 2 with the solver's own message, where gram exits 4
+    assert main(["synth", "--out-dir", str(tmp_path), "--train", "20", "--val", "5",
+                 "--test", "10"]) == 0
+    capsys.readouterr()
+    assert main([a.format(d=tmp_path) for a in command] + ["--preprocess", "center"]) == 4
+    label = "row 0" if command[0] == "gram" else "training row 0"
+    assert capsys.readouterr().err.startswith(f"numeric failure: {label} has l2 norm ")
+
+
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])
 def test_train_refuses_an_overflowing_budget_before_reading_data(loss, tmp_path, monkeypatch,
                                                                  capsys):
@@ -488,6 +505,9 @@ MALFORMED_MODELS = {
     # these two used to be scored, though train refuses both budgets
     "budget_above_max": lambda m: m.update(B=2 * MAX_BUDGET),
     "budget_below_min": lambda m: m.update(B=MIN_BUDGET / 2),
+    # these two used to be scored as budgets 1.0 and 100.0
+    "bool_budget": lambda m: m.update(B=True),
+    "string_budget": lambda m: m.update(B="100"),
 }
 
 

@@ -12,6 +12,7 @@ from reckernel.kernel import (
     GramFormatError,
     KernelStack,
     NormBoundError,
+    cross_kernel_blocks,
     gram,
     kernel_matrix,
     read_gram,
@@ -62,6 +63,17 @@ def test_norm_violation_names_the_vector():
     with pytest.raises(ValueError, match="depth must be a nonnegative integer, got 1.5"):
         kernel_matrix(1.5, E1, E2)
     assert kernel_matrix(np.int64(1), E1, E2)[0, 0] == 0.5
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: kernel_matrix(True, E1, E2),
+    lambda: next(cross_kernel_blocks(True, E1, E2)),
+    lambda: gram(KernelStack(True), np.stack([E1, E2]))],
+    ids=["kernel_matrix", "cross_kernel_blocks", "gram"])
+def test_a_bool_depth_is_refused_as_train_config_refuses_it(evaluate):
+    # True, an Integral, used to give the depth-1 kernel
+    with pytest.raises(ValueError, match="depth must be a nonnegative integer, got True"):
+        evaluate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -15,7 +15,6 @@ from reckernel.solver import (
     LOSS_KINDS,
     MAX_BUDGET,
     MIN_BUDGET,
-    REFRESH,
     WINDOW_TOL,
     DegenerateClassError,
     OneVsAllPredictor,
@@ -196,7 +195,7 @@ def test_train_refuses_every_row_the_kernel_would(fit, y):
     # the kernel with its NormBoundError, whose tolerance is 1e-9
     X = random_unit_rows(np.random.default_rng(8), 6, 4)
     cfg = TrainConfig(depth=1, budget=1.0, max_iters=20)
-    with pytest.raises(ValueError, match="training rows must be unit-norm; row 3"):
+    with pytest.raises(NormBoundError, match="training row 3 has l2 norm"):
         fit(_with_row_norm(X, 3, 1.0 + 5e-7), y, cfg)
     for norm in (1.0 - 9e-7, 1.0 - 5e-7):  # short of unit norm by rounding: still trains
         assert fit(_with_row_norm(X, 3, norm), y, cfg).alphas.shape[1] == 6
@@ -206,13 +205,15 @@ def test_train_refuses_every_row_the_kernel_would(fit, y):
                                           ("depth", 1.5), ("max_iters", 2.5),
                                           ("budget", np.nan), ("budget", np.inf),
                                           ("depth", True), ("max_iters", True),
-                                          ("patience", True)])
+                                          ("patience", True), ("budget", True),
+                                          ("budget", "100")])
 def test_train_config_rejects_bad_patience_and_budget(field, value):
     # patience 0 used to fail mid-solve on t % 0, a negative one acted as its
     # absolute value, and a NaN budget was accepted; a fractional depth
     # trained on a kernel outside the family, a fractional patience checked
     # its window at multiples of it, and a fractional max_iters failed in
-    # range; True, an Integral, passed as 1 where the model loader refused it
+    # range; True, an Integral, passed as 1 where the model loader refused it,
+    # a budget of True passed as 1, and one of "100" raised a TypeError
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{"depth": 1, "budget": 1.0, field: value})
 
@@ -486,8 +487,8 @@ def test_a_cached_product_outlives_a_class_stopping():
 
 def test_running_objectives_match_the_oracle_at_every_step():
     # the callback objective is computed from the running P, so this bounds
-    # its drift from A @ G at every step, between refreshes too: at B = 1 the
-    # subgradient repeats, and at B = 10 P also runs across its changes
+    # its drift from A @ G at every step: at B = 1 the subgradient repeats,
+    # and at B = 10 P also runs across its changes
     G, Y = _random_problem()
     for B in (1.0, 10.0):
         cfg = _config(budget=B)
@@ -501,10 +502,8 @@ def test_running_objectives_match_the_oracle_at_every_step():
 
 def test_binding_hinge_solve_reuses_the_gram_product():
     # at B <= 1 every hinge pair is active, so the subgradient is -Y at every
-    # step: Q = S @ G once after step 1, P = A @ G after every REFRESH-th
-    # step but the last, and best @ G once the solve ends
+    # step: Q = S @ G once after step 1, and best @ G once the solve ends
     T = 300
-    assert REFRESH < T  # the solve refreshes, so the count pins the refresh
     G, Y = _random_problem()
     taken = {}  # step -> products before its callbacks
 
@@ -516,7 +515,7 @@ def test_binding_hinge_solve_reuses_the_gram_product():
                                    _config(budget=1.0, max_iters=T), record)
     assert [r.iterations for r in reports] == [T] * 3
     after = [taken[t + 1] - taken[t] for t in range(1, T)] + [CountingGram.products - taken[T]]
-    assert after == [int(t == 1 or t % REFRESH == 0 or t == T) for t in range(1, T + 1)]
+    assert after == [int(t == 1 or t == T) for t in range(1, T + 1)]
 
 
 def test_a_fit_counts_the_gram_products_and_rows_it_reads(rotation_rows):
@@ -530,9 +529,9 @@ def test_a_fit_counts_the_gram_products_and_rows_it_reads(rotation_rows):
     n, reads = len(X), CountingGram.reads
     # a product reads all n rows, a delta's gather fewer
     assert work == {"gram_products": sum(r == n for r in reads), "gram_rows_read": sum(reads)}
-    assert work == {"gram_products": 30, "gram_rows_read": 143692}
+    assert work == {"gram_products": 26, "gram_rows_read": 143633}
     fit = train_multiclass(X, y, cfg)
-    assert (fit.gram_products, fit.gram_rows_read) == (30, 143692)
+    assert (fit.gram_products, fit.gram_rows_read) == (26, 143633)
 
 
 @pytest.mark.parametrize("depth", [1, 4])
@@ -543,12 +542,12 @@ def test_running_products_stay_within_rounding_over_a_long_solve(depth, rotation
     ``S @ G`` and the deltas since, each a dot product of at most n terms
     whose hinge coefficients are in {-1, 0, 1}, so with g1 the largest
     column sum of |G|, after k deltas ``|Q - S_Q @ G| <= 2 (k + 1) n eps g1``
-    (the 2 covers the additions into ``Q``).  ``P`` is ``A @ G`` to
-    ``n eps max(|A| @ |G|)`` after a refresh, and each of the s steps since
-    adds ``eta / n <= B / n`` times Q's error, so
+    (the 2 covers the additions into ``Q``).  ``P`` starts exact at 0, and
+    each of the s steps after adds its own rounding, within
+    ``n eps max(|A| @ |G|)``, and ``eta / n <= B / n`` times Q's error, so
     ``|P - A @ G| <= (s + 1) (n eps max(|A| @ |G|) + B / n * Q's bound)``.
     Both are checked at every step over 1000 steps at B = 100 on 1000
-    rows, so just before each of the 19 refreshes too."""
+    rows."""
     X, y = rotation_rows
     G = kernel_matrix(depth, X)
     n, eps, B, T = len(X), np.finfo(float).eps, 100.0, 1000
@@ -562,7 +561,7 @@ def test_running_products_stay_within_rounding_over_a_long_solve(depth, rotation
         worst["Q"] = max(worst["Q"], np.abs(Q - S @ G).max() / q_bound[0])
 
     def scale(A, P, B_):
-        s = steps[0] % REFRESH  # steps since P was last made exact
+        s = steps[0]  # steps since P was exact, at 0
         steps[0] += 1
         bound = (s + 1) * (n * eps * (np.abs(A) @ np.abs(G)).max() + B / n * q_bound[0])
         worst["P"] = max(worst["P"], np.abs(P - A @ G).max() / bound if bound else 0.0)
@@ -629,9 +628,9 @@ def test_predict_bounded_by_budget():
 def test_train_rejects_non_finite_rows(bad):
     X = np.eye(3)
     X[1, 2] = bad
-    with pytest.raises(ValueError, match="row 1 has non-finite norm"):
+    with pytest.raises(NormBoundError, match="training row 1 has non-finite l2 norm"):
         train(X, np.array([1.0, -1.0, 1.0]), TrainConfig(depth=1, budget=1.0))
-    with pytest.raises(ValueError, match="row 1 has non-finite norm"):
+    with pytest.raises(NormBoundError, match="training row 1 has non-finite l2 norm"):
         train_multiclass(X, np.array([0, 1, 2]), TrainConfig(depth=1, budget=1.0))
 
 
